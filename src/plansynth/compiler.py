@@ -3,6 +3,15 @@
 The pipeline is: negation normal form, a nondeterministic automaton whose
 states are sets of outstanding obligations (formulas that still have to hold
 from the current position on), then subset construction and minimization.
+A top-level conjunction is compiled conjunct by conjunct: each conjunct goes
+through that pipeline on its own, and the minimal automata are folded by
+products, each minimized in turn.  The subset construction of a conjunction
+can grow with the product of its conjuncts' state counts; the compositional
+route only ever builds products of minimal automata.
+
+Formula nodes are hash-consed (see `logic.Formula`), so the memo tables
+keyed by obligations hash each node in constant time and compare by
+identity, and repeated conjuncts drop out of the chain for free.
 
 An obligation set steps through a symbol by unfolding each obligation one
 position: literals are checked against the symbol, X and WX defer their
@@ -17,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, minimize
+from .dfa import Dfa, combine, minimize
 from .errors import LimitExceeded, VocabularyMismatch
 from .logic import (
     FALSE,
@@ -225,6 +234,28 @@ def determinize(nfa: ObligationNfa) -> Dfa:
     return Dfa(vt, tuple(tuple(r) for r in rows), 0, finals)
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The leaves of the top-level And chain of f, left to right, each once."""
+    out: dict[Formula, None] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out[g] = None
+    return list(out)
+
+
 def compile_formula(vt: VarTable, f: Formula) -> Dfa:
-    """Minimal DFA accepting exactly the non-empty finite traces of f."""
-    return minimize(determinize(ObligationNfa(vt, f)))
+    """Minimal DFA accepting exactly the non-empty finite traces of f.
+
+    Conjuncts are compiled separately and joined by products under the same
+    state guard as the subset construction.
+    """
+    first, *rest = conjuncts(f)
+    m = minimize(determinize(ObligationNfa(vt, first)))
+    for g in rest:
+        part = minimize(determinize(ObligationNfa(vt, g)))
+        m = minimize(combine(m, part, "and", limit=DETERMINIZE_STATE_LIMIT))
+    return m

@@ -89,8 +89,12 @@ def _check_same_vt(m1: Dfa, m2) -> None:
         raise VocabularyMismatch("automata built over different variable tables")
 
 
-def combine(m1: Dfa, m2: Dfa, connective: str) -> Dfa:
-    """Reachable product with finals induced by the boolean connective."""
+def combine(m1: Dfa, m2: Dfa, connective: str, limit: int | None = None) -> Dfa:
+    """Reachable product with finals induced by the boolean connective.
+
+    With a limit, raises LimitExceeded once the product would grow past
+    that many states.
+    """
     _check_same_vt(m1, m2)
     op = CONNECTIVES[connective]
     nsym = m1.vt.n_symbols
@@ -105,6 +109,8 @@ def combine(m1: Dfa, m2: Dfa, connective: str) -> Dfa:
         for sym in range(nsym):
             target = (m1.transitions[q1][sym], m2.transitions[q2][sym])
             if target not in index:
+                if limit is not None and len(index) >= limit:
+                    raise LimitExceeded("product construction exceeded the state guard")
                 index[target] = len(order)
                 order.append(target)
                 queue.append(target)

@@ -189,35 +189,22 @@ def _behavior_table(d: Domain):
     x = validate(d)
     vt = d.vt
     n_actions = vt.n_actions
+    # per symbol: its environment state, and the state it leads to when
+    # that environment state is a permitted successor
+    env_of = []
+    to_pair = []
+    for sym in range(vt.n_symbols):
+        e, a = vt.env_part(sym), vt.agent_part(sym)
+        env_of.append(e)
+        to_pair.append(3 + e * n_actions + a if (e, a) in x.pre_pairs else 1)
 
-    def pair(s: int, a: int) -> int:
-        return 3 + s * n_actions + a
-
-    def on_pair(s: int, a: int) -> int:
-        return pair(s, a) if (s, a) in x.pre_pairs else 1
-
-    rows = []
-    rows.append(
-        tuple(
-            on_pair(vt.env_part(sym), vt.agent_part(sym))
-            if vt.env_part(sym) in x.init_states
-            else 2
-            for sym in range(vt.n_symbols)
-        )
-    )
-    rows.append(tuple(1 for _ in range(vt.n_symbols)))
-    rows.append(tuple(2 for _ in range(vt.n_symbols)))
+    rows = [tuple(t if e in x.init_states else 2 for e, t in zip(env_of, to_pair))]
+    rows.append((1,) * vt.n_symbols)
+    rows.append((2,) * vt.n_symbols)
     for s in range(vt.n_env_states):
         for a in range(n_actions):
             succ = set(x.successors(s, a))
-            rows.append(
-                tuple(
-                    on_pair(vt.env_part(sym), vt.agent_part(sym))
-                    if vt.env_part(sym) in succ
-                    else 2
-                    for sym in range(vt.n_symbols)
-                )
-            )
+            rows.append(tuple(t if e in succ else 2 for e, t in zip(env_of, to_pair)))
     return tuple(rows)
 
 

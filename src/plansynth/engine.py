@@ -91,12 +91,16 @@ class Problem:
 
 
 def _as_dfa(vt: VarTable, obj) -> Dfa:
+    """The minimal DFA of a finite-trace property.
+
+    Compiled formulas are minimal already; given automata are minimized here.
+    """
     if isinstance(obj, Formula):
         return compile_formula(vt, obj)
     if isinstance(obj, Dfa):
         if obj.vt != vt:
             raise ValueError("automaton built over a different variable table")
-        return obj
+        return minimize(obj)
     if isinstance(obj, Dpw):
         raise UnsupportedFeature("parity automata require infinite semantics")
     raise TypeError(f"cannot interpret {type(obj).__name__} as a finite-trace property")
@@ -116,8 +120,8 @@ def _as_dpw(vt: VarTable, obj) -> Dpw:
 def _assumption_dfa(p: Problem) -> Dfa:
     m = _as_dfa(p.vt, p.assumption)
     if p.kind == "planning":
-        m = combine(env_behavior_dfa(p.domain), m, "and")
-    return minimize(m)
+        m = minimize(combine(env_behavior_dfa(p.domain), m, "and"))
+    return m
 
 
 def _assumption_dpw(p: Problem) -> Dpw:
@@ -142,7 +146,7 @@ def problem_automata(p: Problem) -> dict[str, Dfa | Dpw]:
     """
     if p.semantics == "finite":
         assumption = _assumption_dfa(p)
-        goal = minimize(_as_dfa(p.vt, p.goal))
+        goal = _as_dfa(p.vt, p.goal)
         game = minimize(combine(assumption, goal, "implies"))
     else:
         assumption = _assumption_dpw(p)
@@ -174,7 +178,7 @@ def _solve(p: Problem) -> Verdict:
     diagnostics: dict = {"kind": p.kind, "semantics": p.semantics}
     if p.semantics == "finite":
         assumption = _assumption_dfa(p)
-        goal = minimize(_as_dfa(p.vt, p.goal))
+        goal = _as_dfa(p.vt, p.goal)
         diagnostics["assumption_states"] = assumption.n_states
         diagnostics["goal_states"] = goal.n_states
         ok, _, _ = env_realizable(assumption)
@@ -262,7 +266,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
         raise ValueError("strategy built over a different variable table")
     vt = p.vt
     assumption = _assumption_dfa(p)
-    goal = minimize(_as_dfa(p.vt, p.goal))
+    goal = _as_dfa(p.vt, p.goal)
     safe, _ = env_safe(assumption)
     good = assumption.finals & safe
 
@@ -277,9 +281,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     if not safe_moves(assumption.initial):
         raise InvalidAssumptionError("the assumption is not environment realizable")
 
-    settled: set = set()
-
-    def reject(path, move, looping, reason):
+    def reject(move, looping, reason):
         return VerifyResult(
             accepted=False,
             env_moves=[e for e, _ in path] + [move],
@@ -288,35 +290,41 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
             reason=reason,
         )
 
-    def explore(mem, qa, qg, path, on_path):
-        root = not path
-        key = (mem, qa, qg, root)
-        if key in settled:
-            return None
-        for e in safe_moves(qa):
+    # Depth-first search over (memory, assumption state, goal state, at root)
+    # with an explicit stack: one frame per node on the current path, holding
+    # the node and an iterator over its remaining moves; `path` holds the
+    # (move, symbol) steps that led to the top frame.  A node is settled once
+    # every play from it is known to end well.
+    start = (s.initial, assumption.initial, goal.initial, True)
+    stack = [(start, iter(safe_moves(start[1])))]
+    path: list[tuple[int, int]] = []
+    on_path = {start}
+    settled: set = set()
+    while stack:
+        node, moves = stack[-1]
+        mem, qa, qg, root = node
+        for e in moves:
             action, mem2 = s.step(mem, e)
             if action is None:
                 if root:
-                    return reject(path, e, False, "stops before completing a round")
+                    return reject(e, False, "stops before completing a round")
                 if qg not in goal.finals:
-                    return reject(path, e, False, "halts with the goal unsatisfied")
+                    return reject(e, False, "halts with the goal unsatisfied")
                 continue
             sym = vt.joint(e, action)
             nxt = (mem2, assumption.transitions[qa][sym], goal.transitions[qg][sym], False)
             if nxt in on_path:
-                return reject(path, e, True, "can be kept playing forever")
+                return reject(e, True, "can be kept playing forever")
             if nxt in settled:
                 continue
             on_path.add(nxt)
-            bad = explore(nxt[0], nxt[1], nxt[2], path + [(e, sym)], on_path)
-            on_path.discard(nxt)
-            if bad is not None:
-                return bad
-        settled.add(key)
-        return None
-
-    start = (s.initial, assumption.initial, goal.initial, True)
-    bad = explore(s.initial, assumption.initial, goal.initial, [], {start})
-    if bad is not None:
-        return bad
+            path.append((e, sym))
+            stack.append((nxt, iter(safe_moves(nxt[1]))))
+            break
+        else:
+            stack.pop()
+            on_path.discard(node)
+            settled.add(node)
+            if path:
+                path.pop()
     return VerifyResult(accepted=True)

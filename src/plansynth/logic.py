@@ -16,6 +16,7 @@ its right argument to hold at some position at or after the current one, and
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -129,92 +130,132 @@ class VarTable:
 # --- formula nodes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """Base of the formula nodes, which are hash-consed.
+
+    Building a node returns the one live instance with the same class and
+    children, looked up in a weak intern table, so structurally equal
+    formulas are the same object: equality is identity and never recurses.
+    The hash is the structural value a frozen dataclass would give, the hash
+    of the field tuple, computed once at construction from the children's
+    cached hashes; set orders therefore follow the same hashes as with
+    plain tuples of fields.  Nodes are immutable.  The intern table is not
+    locked: build formulas from one thread at a time.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} fields")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(fields))
+            _INTERNED[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+# (class, *fields) -> the live node; an entry leaves when its node is freed
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Not(Formula):
+class _Unary(Formula):
+    __slots__ = __match_args__ = ("operand",)
     operand: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    operand: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeakNext(Formula):
-    operand: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class WeakNext(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    operand: Formula
+class Until(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    operand: Formula
+class Release(_Binary):
+    __slots__ = ()
+
+
+class Eventually(_Unary):
+    __slots__ = ()
+
+
+class Always(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
 FALSE = FalseConst()
 
-_UNARY = (Not, Next, WeakNext, Eventually, Always)
-_BINARY = (And, Or, Implies, Until, Release)
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return (f.operand,)
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
     return ()
 
@@ -409,7 +450,7 @@ def _prec(f: Formula) -> int:
         return _PREC_AND
     if isinstance(f, (Until, Release)):
         return _PREC_UNTIL
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return _PREC_UNARY
     return _PREC_ATOM
 
@@ -578,25 +619,6 @@ def eval_finite(vt: VarTable, f: Formula, trace: Sequence[int], pos: int = 0) ->
         raise TypeError(f"not a formula: {g!r}")
 
     return ev(f, pos)
-
-
-def eval_prop(f: Formula, true_names) -> bool:
-    """Propositional evaluation against a set of true atom names."""
-    if isinstance(f, TrueConst):
-        return True
-    if isinstance(f, FalseConst):
-        return False
-    if isinstance(f, Atom):
-        return f.name in true_names
-    if isinstance(f, Not):
-        return not eval_prop(f.operand, true_names)
-    if isinstance(f, And):
-        return eval_prop(f.left, true_names) and eval_prop(f.right, true_names)
-    if isinstance(f, Or):
-        return eval_prop(f.left, true_names) or eval_prop(f.right, true_names)
-    if isinstance(f, Implies):
-        return not eval_prop(f.left, true_names) or eval_prop(f.right, true_names)
-    raise ValueError(f"not propositional: {f!r}")
 
 
 def truth_table_mask(f: Formula, order: Sequence[str]) -> int:

@@ -4,21 +4,24 @@ import random
 
 import pytest
 
+from plansynth import compiler
 from plansynth.compiler import (
     ObligationNfa,
     closure,
     compile_formula,
+    conjuncts,
     determinize,
     empty_suffix_ok,
 )
 from plansynth.dfa import accepts, combine, dfa_true, language_equal, minimize
-from plansynth.errors import VocabularyMismatch
+from plansynth.errors import LimitExceeded, VocabularyMismatch
 from plansynth.logic import (
     TRUE,
     And,
     Atom,
     Implies,
     Or,
+    conjoin,
     eval_finite,
     node_count,
     parse_formula,
@@ -90,6 +93,42 @@ def test_minimization_preserves_compiled_language():
         raw = determinize(ObligationNfa(XY, f))
         assert language_equal(raw, compile_formula(XY, f))
         assert minimize(raw) == compile_formula(XY, f)
+
+
+def monolithic(f):
+    return minimize(determinize(ObligationNfa(XY, f)))
+
+
+def test_conjunctions_compile_as_the_monolithic_construction():
+    rng = random.Random(34)
+    corpus = corpus_formulas()
+    drawn = [conjoin(rng.sample(corpus, rng.randint(2, 4))) for _ in range(150)]
+    drawn += [
+        conjoin([random_formula(rng, XY, 3) for _ in range(rng.randint(2, 4))])
+        for _ in range(60)
+    ]
+    for f in drawn:
+        m, reference = compile_formula(XY, f), monolithic(f)
+        assert language_equal(m, reference), f
+        assert m == reference, f
+
+
+def test_conjuncts_flatten_both_nestings_and_drop_repeats():
+    f = parse_formula("(x & F y) & (G x & x)", XY)
+    assert conjuncts(f) == [Atom("x"), parse_formula("F y"), parse_formula("G x")]
+    assert conjuncts(parse_formula("x | y")) == [parse_formula("x | y")]
+
+
+def test_conjunction_products_pass_the_state_guard(monkeypatch):
+    # the conjuncts' automata have 6 and 7 states, their product 10
+    f, g = parse_formula("X X X x", XY), parse_formula("X X X X y", XY)
+    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 8)
+    compile_formula(XY, f)
+    compile_formula(XY, g)
+    with pytest.raises(LimitExceeded):
+        compile_formula(XY, And(f, g))
+    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 10)
+    assert compile_formula(XY, And(f, g)) == monolithic(And(f, g))
 
 
 def test_undeclared_atom_rejected():

@@ -202,6 +202,41 @@ def test_verify_rejects_endless_play():
     assert result.reason == "can be kept playing forever"
 
 
+def rounds_strategy(n: int, action) -> AgentStrategy:
+    """Plays action(round, env_state) for n rounds, then halts."""
+    table = {(m, e): (action(m, e), m + 1) for m in range(n) for e in range(XY.n_env_states)}
+    return AgentStrategy(XY, n + 1, 0, table)
+
+
+def test_verify_accepts_a_thousand_round_controller():
+    march = rounds_strategy(1000, lambda m, e: 1)
+    assert verify_strategy(synthesis("true", "F x"), march).accepted
+    idle = verify_strategy(synthesis("true", "F x"), rounds_strategy(1000, lambda m, e: 0))
+    assert idle.reason == "halts with the goal unsatisfied"
+    assert idle.env_moves == [0] * 1001 and idle.trace == [0] * 1000
+
+
+def test_verify_witnesses_are_the_first_found_depth_first():
+    cycle = AgentStrategy(XY, 3, 0, {
+        (0, 0): (1, 1), (0, 1): (0, 2), (1, 0): (0, 2),
+        (1, 1): (1, 0), (2, 0): (None, 2), (2, 1): (1, 1),
+    })
+    cases = [
+        (synthesis("true", "F x"), rounds_strategy(3, lambda m, e: e),
+         ([0, 0, 0, 0], [0, 0, 0], False, "halts with the goal unsatisfied")),
+        (synthesis("G (y -> X y)", "F (x & y)"), rounds_strategy(4, lambda m, e: 1 - e),
+         ([0, 0, 0, 0, 0], [2, 2, 2, 2], False, "halts with the goal unsatisfied")),
+        (synthesis("true", "G (y -> x)"), rounds_strategy(3, lambda m, e: e if m < 2 else 0),
+         ([0, 0, 1, 0], [0, 0, 1], False, "halts with the goal unsatisfied")),
+        (synthesis("true", "true"), cycle,
+         ([0, 0, 1], [2, 0], True, "can be kept playing forever")),
+    ]
+    for p, strategy, expected in cases:
+        r = verify_strategy(p, strategy)
+        assert not r.accepted
+        assert (r.env_moves, r.trace, r.loops, r.reason) == expected
+
+
 def test_verify_requires_valid_assumption():
     with pytest.raises(InvalidAssumptionError):
         verify_strategy(synthesis("F x", "true"), halting_strategy(0))

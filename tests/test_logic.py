@@ -1,5 +1,8 @@
 """Formula parsing, printing, finite-trace evaluation, and normal forms."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -242,3 +245,45 @@ def test_prime_to_next_nested_negation():
     assert g == Not(And(Atom("go"), Next(Atom("r"))))
     f2 = parse_formula("!(go & !r')", vt, allow_primed=True)
     assert prime_to_next(f2, weak=True) == Not(And(Atom("go"), Not(WeakNext(Atom("r")))))
+
+
+# --- hash-consed nodes ------------------------------------------------------
+
+
+def test_equal_formulas_are_one_object():
+    assert parse_formula("x & y") is And(Atom("x"), Atom("y"))
+    text = "G (r -> F g) & (a U !b) | X WX c"
+    f, g = parse_formula(text), parse_formula(text)
+    assert f is g and hash(f) == hash(g)
+    assert to_nnf(f) is to_nnf(g)
+    assert TRUE is parse_formula("true") and And(TRUE, FALSE) is not Or(TRUE, FALSE)
+
+
+def test_formula_hash_is_structural():
+    # the value a frozen dataclass gives: the hash of the field tuple
+    x = Atom("x")
+    assert hash(x) == hash(("x",))
+    assert hash(Next(x)) == hash((x,))
+    assert hash(Until(x, TRUE)) == hash((x, TRUE)) == hash(Release(x, TRUE))
+    assert repr(And(x, Not(x))) == "And(left=Atom(name='x'), right=Not(operand=Atom(name='x')))"
+
+
+def test_formulas_are_immutable_and_copy_to_themselves():
+    f = parse_formula("x U !y")
+    with pytest.raises(AttributeError):
+        f.left = TRUE
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_deep_formula_builds_hashes_and_compares_without_recursion():
+    def chain():
+        f = Atom("x")
+        for _ in range(5000):
+            f = Next(f)
+        return f
+
+    f, g = chain(), chain()
+    assert f is g and f == g and hash(f) == hash(g)
+    assert {f: 1}[g] == 1
+    assert f != Next(f) and f.operand is not f
