@@ -4,7 +4,8 @@ Every command reads the textual interchange files and prints a short
 machine-readable report of ``key: value`` lines.  Exit codes are uniform:
 0 valid/realizable/accepted, 1 unrealizable or rejected, 2 invalid
 assumption, 3 parse or validation failure, 4 requests the engine
-recognizes but does not solve.
+recognizes but does not solve, 5 resource limit (an explicit construction
+would exceed its size guard).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .engine import (
 )
 from .errors import (
     InvalidAssumptionError,
+    LimitExceeded,
     ParseError,
     UnsupportedFairSolve,
     UnsupportedFeature,
@@ -53,6 +55,7 @@ EXIT_UNREALIZABLE = 1
 EXIT_INVALID_ASSUMPTION = 2
 EXIT_BAD_INPUT = 3
 EXIT_UNSUPPORTED = 4
+EXIT_RESOURCE_LIMIT = 5
 
 _STATUS_EXIT = {
     "realizable": EXIT_OK,
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
     except InvalidAssumptionError as exc:
         print(f"invalid-assumption: {exc}")
         return EXIT_INVALID_ASSUMPTION
+    except LimitExceeded as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

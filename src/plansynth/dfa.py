@@ -126,60 +126,100 @@ def complement(m: Dfa) -> Dfa:
     return Dfa(m.vt, m.transitions, m.initial, frozenset(range(m.n_states)) - m.finals)
 
 
+def _coarsest_partition(trans: list[list[int]], finals: list[bool]) -> list[int]:
+    """Block of every state in the coarsest partition that separates accepting
+    from rejecting states and is stable under every symbol (Hopcroft 1971).
+
+    Symbols whose columns are equal everywhere split alike, so one
+    representative of each distinct column is refined over; an alphabet of
+    hundreds of symbols on a few states then costs a handful of columns.  A
+    splitter is a whole block, checked against every column through sparse
+    preimages, and of the two halves of a block that is not waiting to split
+    others only the smaller one is queued, which bounds the time by
+    O(n * columns * log n).
+    """
+    n = len(trans)
+    accepting = {q for q in range(n) if finals[q]}
+    if not accepting or len(accepting) == n:
+        return [0] * n
+    blocks = [accepting, set(range(n)) - accepting]
+    block = [0 if finals[q] else 1 for q in range(n)]
+    preimages = []
+    for column in dict.fromkeys(zip(*trans)):
+        sources: dict[int, list[int]] = {}
+        for q, t in enumerate(column):
+            if t in sources:
+                sources[t].append(q)
+            else:
+                sources[t] = [q]
+        preimages.append(sources)
+    waiting = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
+    while waiting and len(blocks) < n:
+        splitter = list(blocks[waiting.pop()])
+        for sources in preimages:
+            hit: dict[int, list[int]] = {}
+            for t in splitter:
+                for q in sources.get(t, ()):
+                    b = block[q]
+                    if b in hit:
+                        hit[b].append(q)
+                    else:
+                        hit[b] = [q]
+            for b, members in hit.items():
+                old = blocks[b]
+                if len(members) == len(old):
+                    continue
+                new = len(blocks)
+                old.difference_update(members)
+                blocks.append(set(members))
+                for q in members:
+                    block[q] = new
+                if b in waiting or len(members) <= len(old):
+                    waiting.add(new)
+                else:
+                    waiting.add(b)
+    return block
+
+
 def minimize(m: Dfa) -> Dfa:
     """Minimal DFA for the same language, in a canonical state numbering.
 
-    Trims unreachable states, merges equivalence classes by partition
-    refinement, then renumbers classes in breadth-first symbol order, so
-    isomorphic inputs produce identical outputs.
+    Trims unreachable states, merges equivalent states (Hopcroft's
+    partition refinement), then renumbers the classes in breadth-first symbol
+    order, so isomorphic inputs produce identical outputs.
     """
-    nsym = m.vt.n_symbols
-
     reach = [m.initial]
     seen = {m.initial}
     for q in reach:
-        for sym in range(nsym):
-            t = m.transitions[q][sym]
-            if t not in seen:
-                seen.add(t)
-                reach.append(t)
-    remap = {q: i for i, q in enumerate(reach)}
-    trans = [[remap[m.transitions[q][sym]] for sym in range(nsym)] for q in reach]
-    finals = [q in m.finals for q in reach]
-    n = len(reach)
+        fresh = set(m.transitions[q]).difference(seen)
+        if fresh:
+            seen |= fresh
+            reach.extend(fresh)
+    if len(reach) == m.n_states:
+        trans, initial = m.transitions, m.initial
+        finals = [q in m.finals for q in range(m.n_states)]
+    else:
+        remap = {q: i for i, q in enumerate(reach)}
+        trans = [tuple(map(remap.__getitem__, m.transitions[q])) for q in reach]
+        finals = [q in m.finals for q in reach]
+        initial = 0
 
-    block = [1 if finals[q] else 0 for q in range(n)]
-    while True:
-        signature = {}
-        nxt = []
-        for q in range(n):
-            sig = (block[q], tuple(block[t] for t in trans[q]))
-            if sig not in signature:
-                signature[sig] = len(signature)
-            nxt.append(signature[sig])
-        if nxt == block:
-            break
-        block = nxt
-
-    n_blocks = max(block) + 1
+    block = _coarsest_partition(trans, finals)
     rep = {}
-    for q in range(n):
-        rep.setdefault(block[q], q)
-    order = [block[0]]
-    seen_b = {block[0]}
-    rows: list[list[int]] = []
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    # the numbering depends on the classes alone, not on the order above
+    renumber = {block[initial]: 0}
+    order = [block[initial]]
+    rows = []
     for b in order:
-        q = rep[b]
-        row = []
-        for sym in range(nsym):
-            tb = block[trans[q][sym]]
-            if tb not in seen_b:
-                seen_b.add(tb)
+        row = list(map(block.__getitem__, trans[rep[b]]))
+        for tb in dict.fromkeys(row):
+            if tb not in renumber:
+                renumber[tb] = len(order)
                 order.append(tb)
-            row.append(tb)
         rows.append(row)
-    renumber = {b: i for i, b in enumerate(order)}
-    table = tuple(tuple(renumber[tb] for tb in row) for row in rows)
+    table = tuple(tuple(map(renumber.__getitem__, row)) for row in rows)
     new_finals = frozenset(renumber[b] for b in order if finals[rep[b]])
     return Dfa(m.vt, table, 0, new_finals)
 

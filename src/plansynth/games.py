@@ -9,6 +9,14 @@ accepted; stopping before the first round completes produces the empty trace,
 which is never accepted.  The environment's objective is dual in spirit but
 not in form: it must keep every nonempty prefix of the play accepted, because
 the agent may stop after any completed round.
+
+Both games are played on the bipartite round arena of the automaton
+(`round_arena`), where the environment moves at state nodes and the agent at
+choice nodes, and both are solved by one attractor (`attract`), which the
+parity games share.  The agent's winning region is its attractor to the
+accepting states; the environment's safe set is the complement of the
+agent's attractor to the choice nodes with an answer that leaves the
+accepted language.  Each costs time linear in the arena's edges.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from dataclasses import dataclass
 
 from .dfa import Dfa
 from .logic import VarTable
+
+# owners of the round arena's nodes in the finite games
+_AGENT, _ENV = 0, 1
 
 
 @dataclass
@@ -59,12 +70,14 @@ class EnvStrategy:
 
 @dataclass
 class Region:
-    """Winning states of a fixpoint, each with the sweep where it entered.
+    """Winning states of a game, each with the attractor layer it entered in.
 
-    Agent game: rank 0 is the accepting states; the extracted strategy never
-    increases the rank and strictly descends the order in which states
-    entered the fixpoint (ranks iterates in that order), so every play stops
-    within n rounds.  Environment game: the whole safe set sits at rank 0.
+    Agent game: rank i holds the states from which the agent forces an
+    accepting stop within i rounds, so rank 0 is the accepting states.
+    ``ranks`` iterates in the order the states entered the attractor, which
+    never decreases in rank; the extracted strategy answers into a state that
+    entered earlier and has a smaller rank, so every play stops within n
+    rounds.  Environment game: the whole safe set sits at rank 0.
     """
 
     ranks: dict[int, int]
@@ -74,41 +87,109 @@ class Region:
         return frozenset(self.ranks)
 
 
-def agent_ranks(m: Dfa) -> tuple[dict[int, int], int]:
-    """Least fixpoint of the agent's winning region, with entry ranks.
+def round_arena(m) -> tuple[list[list[int]], list[int]]:
+    """The bipartite round arena of an automaton: (successor lists, choices).
 
-    Rank 0 states are accepting (stop and win); a state gets rank i when the
-    agent can force, for every environment state, some answer into a state of
-    smaller rank.  Returns (rank by state, number of sweeps run).
+    Node q < n is automaton state q, where the environment picks an
+    environment state e; ``choices[q * n_env + e]`` is the node of the
+    agent's choice that follows, whose successors are the distinct states
+    its answers lead to.  Environment states whose answers at one state lead
+    to the same states share a choice node, since such choices are won and
+    lost together.  Choice nodes are numbered after the states, by state and
+    then by the first environment state that leads to them.
     """
-    vt = m.vt
-    ranks = {q: 0 for q in range(m.n_states) if q in m.finals}
-    sweeps = 0
-    changed = True
-    while changed:
-        changed = False
-        sweeps += 1
-        for q in range(m.n_states):
-            if q in ranks:
+    n, n_env = m.n_states, m.vt.n_env_states
+    succ: list[list[int]] = [[] for _ in range(n)]
+    choices = []
+    for q, row in enumerate(m.transitions):
+        shared: dict[frozenset[int], int] = {}
+        for e in range(n_env):
+            # joint symbols keep the environment bits low: the answers to e
+            # are the symbols e, e + n_env, e + 2 * n_env, ...
+            targets = frozenset(row[e::n_env])
+            node = shared.get(targets)
+            if node is None:
+                node = shared[targets] = len(succ)
+                succ[q].append(node)
+                succ.append(list(targets))
+            choices.append(node)
+    return succ, choices
+
+
+def predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """Predecessor lists of a graph, each in increasing order."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    return pred
+
+
+def attract(alive, succ, pred, owner, player, base) -> tuple[dict[int, int], dict[int, int]]:
+    """Player's attractor to base within alive, with the attraction moves.
+
+    Returns (layers, moves).  ``layers`` maps each attracted node to its
+    layer and iterates in the order the nodes entered: base in increasing
+    order at layer 0, then every other node one layer above the node that
+    completed its entry.  Nodes are processed in entry order, so layers never
+    decrease along it.  A node of the player joins as soon as one successor
+    is attracted, and ``moves`` records that successor, the earliest entered
+    of them; an opposing node joins once every alive successor is.  Time is
+    linear in the edges among alive nodes.
+    """
+    order = sorted(base)
+    layers = dict.fromkeys(order, 0)
+    moves: dict[int, int] = {}
+    pending: dict[int, int] = {}
+    for u in order:  # grows while it is walked: a FIFO queue
+        up = layers[u] + 1
+        for v in pred[u]:
+            if v in layers or v not in alive:
                 continue
-            row = m.transitions[q]
-            if all(
-                any(row[vt.joint(e, a)] in ranks for a in range(vt.n_actions))
-                for e in range(vt.n_env_states)
-            ):
-                ranks[q] = sweeps
-                changed = True
-    return ranks, sweeps
+            if owner[v] == player:
+                moves[v] = u
+            else:
+                left = pending.get(v)
+                if left is None:
+                    left = sum(1 for w in succ[v] if w in alive)
+                pending[v] = left = left - 1
+                if left:
+                    continue
+            layers[v] = up
+            order.append(v)
+    return layers, moves
+
+
+def _agent_attractor(m: Dfa, succ: list[list[int]], base) -> dict[int, int]:
+    """Layers of the agent's attractor to base on the round arena succ of m."""
+    n = m.n_states
+    owner = [_ENV] * n + [_AGENT] * (len(succ) - n)
+    layers, _ = attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, base)
+    return layers
+
+
+def agent_ranks(m: Dfa) -> tuple[dict[int, int], int]:
+    """The agent's winning region: its attractor to the accepting states.
+
+    A state of rank i lets the agent force, within i rounds, a stop in an
+    accepting state; rank 0 is the accepting states.  Returns (rank by
+    state, in the order the states entered the attractor; number of rank
+    layers).
+    """
+    n = m.n_states
+    layers = _agent_attractor(m, round_arena(m)[0], m.finals)
+    # a round passes a choice node and a state node: states sit on even layers
+    ranks = {q: k // 2 for q, k in layers.items() if q < n}
+    return ranks, len(set(ranks.values()))
 
 
 def _agent_answer(m: Dfa, pos: dict[int, int], q: int, e: int) -> tuple[int, int] | None:
     """Winning answer from q to environment state e, if any.
 
-    Picks the successor that entered the fixpoint earliest.  Ranks alone are
-    not enough: two states of the same sweep may each hold a winning answer
-    into the other, and choosing by rank could then bounce between them
-    forever.  Entry order strictly decreases along such answers, because a
-    state joins the fixpoint only on the strength of states already in it.
+    Picks the successor that entered the attractor earliest, which is also
+    one of the smallest rank.  From a state of the region that is not
+    accepting, that answer therefore strictly descends both the rank and the
+    entry order, so a play cannot cycle.
     """
     vt = m.vt
     best = None
@@ -160,30 +241,20 @@ def agent_realizable(m: Dfa) -> tuple[bool, Region, AgentStrategy | None]:
 
 
 def env_safe(m: Dfa) -> tuple[frozenset[int], int]:
-    """Greatest fixpoint of states the environment can keep perpetually good.
+    """States from which the environment keeps every prefix accepted forever.
 
     A state is safe when some environment state forces, for every action, a
-    successor that is both accepting and safe.  Returns (safe set, sweeps).
+    successor that is both accepting and safe.  The unsafe states are the
+    agent's attractor to the choice nodes with an answer into a rejecting
+    state.  Returns (safe set, number of layers of unsafe states).
     """
-    vt = m.vt
-    safe = set(range(m.n_states))
-    sweeps = 0
-    changed = True
-    while changed:
-        changed = False
-        sweeps += 1
-        for q in sorted(safe):
-            row = m.transitions[q]
-            if not any(
-                all(
-                    row[vt.joint(e, a)] in m.finals and row[vt.joint(e, a)] in safe
-                    for a in range(vt.n_actions)
-                )
-                for e in range(vt.n_env_states)
-            ):
-                safe.discard(q)
-                changed = True
-    return frozenset(safe), sweeps
+    n = m.n_states
+    finals = m.finals
+    succ, _ = round_arena(m)
+    leaks = [v for v in range(n, len(succ)) if not finals.issuperset(succ[v])]
+    layers = _agent_attractor(m, succ, leaks)
+    safe = frozenset(q for q in range(n) if q not in layers)
+    return safe, len({k for q, k in layers.items() if q < n})
 
 
 def env_realizable(m: Dfa) -> tuple[bool, Region, EnvStrategy | None]:

@@ -15,13 +15,12 @@ rather than from complementing one solution.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 
 from .dfa import CONNECTIVES, EXPLICIT_VAR_LIMIT, _check_same_vt
 from .errors import LimitExceeded, VocabularyMismatch
-from .games import AgentStrategy, EnvStrategy
+from .games import AgentStrategy, EnvStrategy, attract, predecessors, round_arena
 from .logic import VarTable
 
 COMBINE_STATE_LIMIT = 1_000_000
@@ -162,33 +161,48 @@ def dpw_combine(m1: Dpw, m2: Dpw, connective: str) -> Dpw:
 # --- parity game solving ---------------------------------------------------
 
 
-def _attract(alive, succ, pred, owner, player, base):
-    """Player's attractor to base within alive, with the attraction moves.
+def _zielonka(alive, succ, pred, owner, priority):
+    """Zielonka's algorithm on the subgame alive, as a generator.
 
-    Nodes of the player join when some successor is attracted (recording that
-    move); opposing nodes join when every alive successor is.
+    It yields each subgame it needs solved, receives that subgame's
+    solution, and returns its own, so a driver loop can run the recursion
+    with its own stack instead of the interpreter's.  Subgames are carved
+    out of the one ``alive`` set in place and restored before the generator
+    goes on, so the suspended levels share it rather than each holding a
+    copy.
     """
-    attr = set(base)
-    strat: dict[int, int] = {}
-    pending: dict[int, int] = {}
-    queue = deque(sorted(base))
-    while queue:
-        u = queue.popleft()
-        for v in pred[u]:
-            if v not in alive or v in attr:
-                continue
-            if owner[v] == player:
-                attr.add(v)
-                strat[v] = u
-                queue.append(v)
-            else:
-                if v not in pending:
-                    pending[v] = sum(1 for w in succ[v] if w in alive)
-                pending[v] -= 1
-                if pending[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
-    return attr, strat
+    if not alive:
+        return set(), set(), {}, {}
+    p = max(priority[v] for v in alive)
+    i = p % 2
+    top = {v for v in alive if priority[v] == p}
+    region_a, strat_a = attract(alive, succ, pred, owner, i, top)
+    alive.difference_update(region_a)
+    w0, w1, s0, s1 = yield alive
+    alive.update(region_a)
+    strat_me = s0 if i == 0 else s1
+    win_op = w1 if i == 0 else w0
+    if not win_op:
+        strat_me.update(strat_a)
+        for v in sorted(top):
+            if owner[v] == i and v not in strat_me:
+                strat_me[v] = min(w for w in succ[v] if w in alive)
+        full = set(alive)
+        return (full, set(), strat_me, {}) if i == 0 else (set(), full, {}, strat_me)
+    strat_op = s1 if i == 0 else s0
+    region_b, strat_b = attract(alive, succ, pred, owner, 1 - i, win_op)
+    alive.difference_update(region_b)
+    w0b, w1b, s0b, s1b = yield alive
+    alive.update(region_b)
+    op_all = (w1b if i == 0 else w0b).union(region_b)
+    op_strat = s1b if i == 0 else s0b
+    op_strat.update(strat_b)
+    op_strat.update(strat_op)
+    me_all = w0b if i == 0 else w1b
+    me_strat = s0b if i == 0 else s1b
+    if i == 0:
+        return me_all, op_all, me_strat, op_strat
+    return op_all, me_all, op_strat, me_strat
 
 
 def solve_game(succ, owner, priority):
@@ -198,76 +212,41 @@ def solve_game(succ, owner, priority):
     often along the play must be even.  Returns (win0, win1, moves0, moves1),
     where moves are per-node choices covering each player's own nodes inside
     their winning region.  Assumes a total game graph (no dead ends), which
-    attractor removal preserves.
+    attractor removal preserves.  The recursion, up to one level per node,
+    runs on an explicit stack of suspended subgames.
     """
-    n = len(succ)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v, targets in enumerate(succ):
-        for w in targets:
-            pred[w].append(v)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 200))
-
-    def solve(alive: set[int]):
-        if not alive:
-            return set(), set(), {}, {}
-        p = max(priority[v] for v in alive)
-        i = p % 2
-        top = {v for v in alive if priority[v] == p}
-        region_a, strat_a = _attract(alive, succ, pred, owner, i, top)
-        w0, w1, s0, s1 = solve(alive - region_a)
-        win_me, strat_me = (w0, s0) if i == 0 else (w1, s1)
-        win_op = w1 if i == 0 else w0
-        if not win_op:
-            strat_me.update(strat_a)
-            for v in sorted(top):
-                if owner[v] == i and v not in strat_me:
-                    strat_me[v] = min(w for w in succ[v] if w in alive)
-            full = set(alive)
-            return (full, set(), strat_me, {}) if i == 0 else (set(), full, {}, strat_me)
-        strat_op = s1 if i == 0 else s0
-        region_b, strat_b = _attract(alive, succ, pred, owner, 1 - i, win_op)
-        w0b, w1b, s0b, s1b = solve(alive - region_b)
-        op_all = (w1b if i == 0 else w0b) | region_b
-        op_strat = s1b if i == 0 else s0b
-        op_strat.update(strat_b)
-        op_strat.update(strat_op)
-        me_all = w0b if i == 0 else w1b
-        me_strat = s0b if i == 0 else s1b
-        if i == 0:
-            return me_all, op_all, me_strat, op_strat
-        return op_all, me_all, op_strat, me_strat
-
-    return solve(set(range(n)))
+    pred = predecessors(succ)
+    stack = [_zielonka(set(range(len(succ))), succ, pred, owner, priority)]
+    solved = None
+    while stack:
+        try:
+            sub = stack[-1].send(solved)
+        except StopIteration as done:
+            stack.pop()
+            solved = done.value
+        else:
+            stack.append(_zielonka(sub, succ, pred, owner, priority))
+            solved = None
+    return solved
 
 
 def _arena(m: Dpw, env_seeks_even: bool):
-    """Bipartite round arena: state nodes then one choice node per (q, e).
+    """The round arena of m (`games.round_arena`) as a parity game.
 
     The environment moves at state nodes, the agent at choice nodes; choice
     nodes carry priority 0, which never changes a cycle's maximum.
     """
-    vt = m.vt
     n = m.n_states
-    n_env = vt.n_env_states
+    succ, choices = round_arena(m)
+    env, agent = (0, 1) if env_seeks_even else (1, 0)
+    owner = [env] * n + [agent] * (len(succ) - n)
+    priority = list(m.colors) + [0] * (len(succ) - n)
+    return succ, owner, priority, choices
 
-    def choice(q: int, e: int) -> int:
-        return n + q * n_env + e
 
-    succ: list[list[int]] = []
-    owner: list[int] = []
-    priority: list[int] = []
-    for q in range(n):
-        succ.append([choice(q, e) for e in range(n_env)])
-        owner.append(0 if env_seeks_even else 1)
-        priority.append(m.colors[q])
-    for q in range(n):
-        for e in range(n_env):
-            succ.append(
-                sorted({m.transitions[q][vt.joint(e, a)] for a in range(vt.n_actions)})
-            )
-            owner.append(1 if env_seeks_even else 0)
-            priority.append(0)
-    return succ, owner, priority, choice
+def _env_choice(choices: list[int], n_env: int, q: int, node: int) -> int:
+    """The smallest environment state whose choice at q is node."""
+    return choices.index(node, q * n_env, (q + 1) * n_env) - q * n_env
 
 
 @dataclass
@@ -291,18 +270,18 @@ def solve_parity_game(m: Dpw) -> ParityRegions:
     vt = m.vt
     n = m.n_states
     n_env = vt.n_env_states
-    succ, owner, priority, choice = _arena(m, env_seeks_even=False)
+    succ, owner, priority, choices = _arena(m, env_seeks_even=False)
     win0, win1, moves0, moves1 = solve_game(succ, owner, priority)
     agent_states = frozenset(q for q in range(n) if q in win0)
     env_states = frozenset(q for q in range(n) if q in win1)
     agent_moves = {}
     for q in sorted(agent_states):
         for e in range(n_env):
-            target = moves0[choice(q, e)]
+            target = moves0[choices[q * n_env + e]]
             agent_moves[(q, e)] = min(
                 a for a in range(vt.n_actions) if m.transitions[q][vt.joint(e, a)] == target
             )
-    env_moves = {q: moves1[q] - n - q * n_env for q in sorted(env_states)}
+    env_moves = {q: _env_choice(choices, n_env, q, moves1[q]) for q in sorted(env_states)}
     return ParityRegions(agent_states, env_states, agent_moves, env_moves)
 
 
@@ -339,14 +318,14 @@ def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:
     """
     m = normalize_colors(m)
     vt = m.vt
-    succ, owner, priority, choice = _arena(m, env_seeks_even=True)
+    succ, owner, priority, choices = _arena(m, env_seeks_even=True)
     win0, _, moves0, _ = solve_game(succ, owner, priority)
     if m.initial not in win0:
         return False, None
     n_env = vt.n_env_states
 
     def chosen(q: int) -> int:
-        return moves0[q] - m.n_states - q * n_env
+        return _env_choice(choices, n_env, q, moves0[q])
 
     table: dict[tuple[int, int], tuple[int, int]] = {}
     queue = deque([m.initial])

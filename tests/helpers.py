@@ -144,6 +144,124 @@ def oracle_under_assumption(mw: Dfa, mg: Dfa) -> bool:
     return (mw.initial, mg.initial) in win
 
 
+# --- minimization and finite-game oracles: Moore refinement, sweeps ----------
+
+
+def oracle_minimize(m: Dfa) -> Dfa:
+    """Minimal DFA in the canonical numbering, by Moore's refinement.
+
+    Trims unreachable states, then splits blocks by (block, block of every
+    successor) signatures, one round over all states at a time, until a
+    round changes nothing; classes are renumbered in breadth-first symbol
+    order from the initial class.  Each round maps every symbol's column
+    through the current blocks in one pass, so chains of thousands of states
+    (one round per state) stay cheap enough for a test.
+    """
+    reach = [m.initial]
+    seen = {m.initial}
+    for q in reach:
+        for t in m.transitions[q]:
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+    remap = {q: i for i, q in enumerate(reach)}
+    trans = [[remap[t] for t in m.transitions[q]] for q in reach]
+    finals = [q in m.finals for q in reach]
+    columns = list(zip(*trans))
+    block = [1 if f else 0 for f in finals]
+    while True:
+        signature: dict = {}
+        nxt = [
+            signature.setdefault(sig, len(signature))
+            for sig in zip(block, *(map(block.__getitem__, col) for col in columns))
+        ]
+        if nxt == block:
+            break
+        block = nxt
+    rep: dict[int, int] = {}
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    order = [block[0]]
+    listed = {block[0]}
+    for b in order:
+        for t in trans[rep[b]]:
+            if block[t] not in listed:
+                listed.add(block[t])
+                order.append(block[t])
+    index = {b: i for i, b in enumerate(order)}
+    table = [[index[block[t]] for t in trans[rep[b]]] for b in order]
+    return Dfa(m.vt, table, 0, frozenset(index[b] for b in order if finals[rep[b]]))
+
+
+def oracle_agent_region(m: Dfa) -> frozenset[int]:
+    """Least fixpoint of the states from which the agent forces an accepting
+    stop: sweep all states, adding those where every environment state has
+    an answer into the set, until a sweep adds nothing."""
+    vt = m.vt
+    win = set(m.finals)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(m.n_states):
+            if q in win:
+                continue
+            row = m.transitions[q]
+            if all(
+                any(row[vt.joint(e, a)] in win for a in range(vt.n_actions))
+                for e in range(vt.n_env_states)
+            ):
+                win.add(q)
+                changed = True
+    return frozenset(win)
+
+
+def oracle_agent_layers(m: Dfa) -> dict[int, int]:
+    """Round of each agent-winning state: the least i such that the agent
+    forces an accepting stop within i rounds, computed one round at a time
+    from the states of the rounds before it."""
+    vt = m.vt
+    layer = {q: 0 for q in m.finals}
+    i = 0
+    while True:
+        i += 1
+        new = [
+            q
+            for q in range(m.n_states)
+            if q not in layer
+            and all(
+                any(m.transitions[q][vt.joint(e, a)] in layer for a in range(vt.n_actions))
+                for e in range(vt.n_env_states)
+            )
+        ]
+        if not new:
+            return layer
+        layer.update((q, i) for q in new)
+
+
+def oracle_env_safe(m: Dfa) -> frozenset[int]:
+    """Greatest fixpoint of the environment's safe states: sweep the
+    candidates in increasing order, dropping each state that has no
+    environment state whose every answer stays accepting and in the set,
+    until a sweep drops nothing."""
+    vt = m.vt
+    safe = set(range(m.n_states))
+    changed = True
+    while changed:
+        changed = False
+        for q in sorted(safe):
+            row = m.transitions[q]
+            if not any(
+                all(
+                    row[vt.joint(e, a)] in m.finals and row[vt.joint(e, a)] in safe
+                    for a in range(vt.n_actions)
+                )
+                for e in range(vt.n_env_states)
+            ):
+                safe.discard(q)
+                changed = True
+    return frozenset(safe)
+
+
 # --- random structures --------------------------------------------------------
 
 

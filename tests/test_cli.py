@@ -2,11 +2,13 @@
 
 Every test drives ``main(argv)`` in process and checks the printed report
 together with the exit code: 0 valid/realizable/accepted, 1 unrealizable
-or rejected, 2 invalid assumption, 3 bad input, 4 recognized-but-unsolved.
+or rejected, 2 invalid assumption, 3 bad input, 4 recognized-but-unsolved,
+5 resource limit.
 """
 
 from __future__ import annotations
 
+from plansynth import compiler
 from plansynth.cli import main
 from plansynth.compiler import compile_formula
 from plansynth.dfa import combine, language_equal, minimize
@@ -360,3 +362,16 @@ def test_missing_file_is_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, "synthesize", str(tmp_path / "nope.txt"))
     assert code == 3
     assert err.startswith("error: ")
+
+
+def test_resource_limit_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    # the goal's conjuncts have 6 and 7 states and their product 10, past
+    # the guard; the same problem under a larger guard is solved
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", "goal: X X X x & X X X X y"))
+    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 8)
+    code, out, err = run(capsys, "synthesize", problem)
+    assert code == 5
+    assert out == "" and err.startswith("resource limit: ")
+    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 10)
+    code, _, _ = run(capsys, "synthesize", problem)
+    assert code in (0, 1)

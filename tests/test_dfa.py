@@ -19,7 +19,7 @@ from plansynth.dfa import (
 from plansynth.errors import LimitExceeded, VocabularyMismatch
 from plansynth.logic import VarTable
 
-from helpers import XY, all_traces, random_dfa
+from helpers import XY, all_traces, oracle_minimize, random_dfa
 
 
 def permute_states(m: Dfa, perm: list[int]) -> Dfa:
@@ -121,6 +121,69 @@ def test_minimize_collapses_trivial_languages():
     # a bloated automaton for "everything": every state accepting
     m = Dfa(XY, ((1, 1, 2, 2), (2, 0, 1, 0), (0, 2, 1, 1)), 0, frozenset({0, 1, 2}))
     assert minimize(m) == dfa_true(XY)
+
+
+def vocabulary(n_vars: int) -> VarTable:
+    n_env = n_vars // 2
+    return VarTable(
+        tuple(f"e{i}" for i in range(n_env)), tuple(f"a{i}" for i in range(n_vars - n_env))
+    )
+
+
+def blown_up_dfa(rng, vt: VarTable, n_classes: int, copies: int, n_columns: int | None = None):
+    """Random automaton of n_classes * copies states, whose copies of one
+    class are equivalent; with n_columns, every symbol's column is one of
+    that many, so most columns repeat."""
+    nsym = vt.n_symbols
+    if n_columns is None:
+        base = [[rng.randrange(n_classes) for _ in range(nsym)] for _ in range(n_classes)]
+    else:
+        shapes = [[rng.randrange(n_classes) for _ in range(n_classes)] for _ in range(n_columns)]
+        picks = [rng.randrange(n_columns) for _ in range(nsym)]
+        base = [[shapes[k][c] for k in picks] for c in range(n_classes)]
+    accepting = {c for c in range(n_classes) if rng.random() < 0.5}
+    name = list(range(n_classes * copies))
+    rng.shuffle(name)
+    rows = [None] * len(name)
+    for c in range(n_classes):
+        for j in range(copies):
+            rows[name[c * copies + j]] = [
+                name[t * copies + rng.randrange(copies)] for t in base[c]
+            ]
+    finals = {name[c * copies + j] for c in accepting for j in range(copies)}
+    return Dfa(vt, rows, rng.randrange(len(name)), finals)
+
+
+def test_minimize_matches_moore_refinement():
+    rng = random.Random(12)
+    for n_vars in range(1, 9):
+        vt = vocabulary(n_vars)
+        for _ in range(6):
+            m = random_dfa(rng, vt, 8)
+            assert minimize(m) == oracle_minimize(m)
+            m = blown_up_dfa(rng, vt, rng.randint(1, 8), rng.randint(1, 4))
+            assert minimize(m) == oracle_minimize(m)
+            m = blown_up_dfa(rng, vt, rng.randint(1, 8), rng.randint(1, 4), rng.randint(1, 3))
+            assert minimize(m) == oracle_minimize(m)
+
+
+def test_minimize_matches_moore_refinement_on_long_chains():
+    # Moore's refinement needs one round per state on these
+    rng = random.Random(13)
+    vt = VarTable((), ("x",))
+    n = 2000
+    # the agent advances by answering a keyed bit; only the end accepts
+    key = [rng.randrange(2) for _ in range(n)]
+    chain = Dfa(vt, [[min(q + 1, n - 1) if x == key[q] else q for x in (0, 1)] for q in range(n)],
+                0, {n - 1})
+    assert minimize(chain) == oracle_minimize(chain)
+    assert minimize(chain).n_states == n
+    # a forced march through two interleaved copies of every position, where
+    # only the last position rejects: the copies merge
+    rows = [[min(q // 2 * 2 + 2 + x, n - 1) for x in (0, 1)] for q in range(n)]
+    march = Dfa(vt, rows, 0, set(range(n - 2)))
+    assert minimize(march) == oracle_minimize(march)
+    assert minimize(march).n_states == n // 2
 
 
 def test_minimize_drops_unreachable_states():

@@ -1,9 +1,12 @@
 """End-to-end solving: assumption checks, synthesis, planning, verification."""
 
+import random
+import time
+
 import pytest
 
 from plansynth.compiler import compile_formula
-from plansynth.dfa import language_equal, minimize
+from plansynth.dfa import Dfa, language_equal, minimize
 from plansynth.domain import (
     Domain,
     env_behavior_dfa,
@@ -214,6 +217,27 @@ def test_verify_accepts_a_thousand_round_controller():
     idle = verify_strategy(synthesis("true", "F x"), rounds_strategy(1000, lambda m, e: 0))
     assert idle.reason == "halts with the goal unsatisfied"
     assert idle.env_moves == [0] * 1001 and idle.trace == [0] * 1000
+
+
+def test_synthesize_a_five_thousand_state_chain():
+    # the goal advances one state per round when the agent answers y with a
+    # keyed x and stays put otherwise; only the end accepts
+    rng = random.Random(7)
+    n = 5000
+    key = [[rng.randrange(2) for _ in range(2)] for _ in range(n)]
+    rows = [
+        [min(q + 1, n - 1) if sym >> 1 == key[q][sym & 1] else q for sym in range(4)]
+        for q in range(n)
+    ]
+    p = Problem("synthesis", "finite", XY, parse_formula("true", XY), Dfa(XY, rows, 0, {n - 1}))
+    start = time.perf_counter()
+    verdict = synthesize(p)
+    elapsed = time.perf_counter() - start
+    assert verdict.status == Status.REALIZABLE
+    assert verdict.diagnostics["game_states"] == n
+    assert verdict.diagnostics["game_iterations"] == n - 1
+    assert verify_strategy(p, verdict.strategy).accepted
+    assert elapsed < 2.0
 
 
 def test_verify_witnesses_are_the_first_found_depth_first():

@@ -2,7 +2,7 @@
 
 import random
 
-from plansynth.dfa import Dfa, accepts, complement, dfa_false, dfa_true
+from plansynth.dfa import Dfa, accepts, complement, dfa_false, dfa_true, minimize
 from plansynth.compiler import compile_formula
 from plansynth.games import (
     AgentStrategy,
@@ -13,9 +13,24 @@ from plansynth.games import (
     env_safe,
     play,
 )
-from plansynth.logic import parse_formula
+from plansynth.logic import VarTable, parse_formula
 
-from helpers import XY, random_dfa
+from helpers import (
+    XY,
+    oracle_agent_layers,
+    oracle_agent_region,
+    oracle_env_safe,
+    random_dfa,
+)
+
+VOCABULARIES = [
+    XY,
+    VarTable((), ("x",)),
+    VarTable(("y",), ()),
+    VarTable(("y", "z"), ("x",)),
+    VarTable(("y",), ("x", "w")),
+    VarTable(("y", "z"), ("x", "w")),
+]
 
 
 def assert_agent_strategy_wins(m: Dfa, strat: AgentStrategy) -> None:
@@ -235,3 +250,68 @@ def test_safe_set_is_a_fixpoint():
                 )
                 for e in range(XY.n_env_states)
             )
+
+
+def test_agent_region_matches_the_sweep_fixpoint():
+    rng = random.Random(47)
+    for vt in VOCABULARIES:
+        for _ in range(40):
+            m = random_dfa(rng, vt, 10)
+            ranks, layers = agent_ranks(m)
+            assert set(ranks) == oracle_agent_region(m)
+            assert ranks == oracle_agent_layers(m)
+            assert layers == len(set(ranks.values()))
+            # ranks are held in entry order, which never decreases in rank
+            assert list(ranks.values()) == sorted(ranks.values())
+
+
+def test_env_safe_matches_the_sweep_fixpoint():
+    rng = random.Random(48)
+    for vt in VOCABULARIES:
+        for _ in range(40):
+            m = random_dfa(rng, vt, 10)
+            safe, _ = env_safe(m)
+            assert safe == oracle_env_safe(m)
+
+
+def test_agent_strategies_descend_on_larger_automata():
+    rng = random.Random(49)
+    realized = 0
+    for vt in VOCABULARIES:
+        for _ in range(30):
+            m = random_dfa(rng, vt, 12)
+            ok, region, strat = agent_realizable(m)
+            if not ok:
+                continue
+            realized += 1
+            assert_agent_strategy_wins(m, strat)
+            pos = {q: i for i, q in enumerate(region.ranks)}
+            for (mem, _e), (action, nxt) in strat.table.items():
+                if action is not None and mem != strat.initial:
+                    assert region.ranks[nxt] < region.ranks[mem]
+                    assert pos[nxt] < pos[mem]
+    assert realized > 20
+
+
+def test_games_on_a_long_chain():
+    # the agent advances one state per round by answering the environment's
+    # bit with a keyed bit; every other answer stays put, and only the end
+    # accepts, so the region has one rank layer per state
+    rng = random.Random(50)
+    n = 10_000
+    key = [[rng.randrange(2) for _ in range(2)] for _ in range(n)]
+    rows = [
+        [min(q + 1, n - 1) if sym >> 1 == key[q][sym & 1] else q for sym in range(4)]
+        for q in range(n)
+    ]
+    chain = Dfa(XY, rows, 0, {n - 1})
+    assert minimize(chain) == chain
+    ranks, layers = agent_ranks(chain)
+    assert layers == n and ranks == {q: n - 1 - q for q in reversed(range(n))}
+    ok, _, strat = agent_realizable(chain)
+    assert ok and len(strat.table) == 2 * n
+    # every state accepts but the end: the environment cannot keep away from
+    # it, and loses the states one round at a time
+    march = Dfa(XY, [[min(q + 1 + sym % 2, n - 1) for sym in range(4)] for q in range(n)],
+                0, set(range(n - 1)))
+    assert env_safe(march) == (frozenset(), n - 1)

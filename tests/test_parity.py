@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -153,6 +154,20 @@ def test_solve_game_tiny():
     win0, win1, moves0, _ = solve_game(succ, [0, 0, 0], [0, 1, 2])
     assert win0 == {0, 2} and win1 == {1}
     assert moves0[0] == 2
+
+
+def test_solve_game_deeper_than_the_interpreter_stack():
+    # every node has only a self-loop and an even priority of its own, so
+    # Zielonka peels one node per level: 3000 levels, past the default
+    # recursion limit
+    n = 3000
+    limit = sys.getrecursionlimit()
+    owner = [v % 2 for v in range(n)]
+    win0, win1, moves0, moves1 = solve_game([[v] for v in range(n)], owner,
+                                            [2 * v for v in range(n)])
+    assert sys.getrecursionlimit() == limit
+    assert win0 == set(range(n)) and not win1
+    assert moves0 == {v: v for v in range(0, n, 2)} and not moves1
 
 
 def test_solver_matches_exhaustive_oracle():
