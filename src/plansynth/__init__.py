@@ -25,6 +25,7 @@ from .domain import (
     validate,
 )
 from .engine import (
+    Compiled,
     Problem,
     Status,
     Verdict,

@@ -5,7 +5,7 @@ machine-readable report of ``key: value`` lines.  Exit codes are uniform:
 0 valid/realizable/accepted, 1 unrealizable or rejected, 2 invalid
 assumption, 3 parse or validation failure, 4 requests the engine
 recognizes but does not solve, 5 resource limit (an explicit construction
-would exceed its size guard).
+would exceed its size guard, or a formula is nested too deeply to process).
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from .domain import (
     fairness_formula,
     validate,
 )
-from .engine import (
-    assumption_automaton,
-    check_assumption,
-    plan,
-    problem_automata,
-    synthesize,
-    verify_strategy,
-)
+from .engine import Compiled, plan, synthesize, verify_strategy
 from .errors import (
     InvalidAssumptionError,
     LimitExceeded,
@@ -74,8 +67,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_check_assumption(args) -> int:
     p = load_problem(args.problem)
-    m = assumption_automaton(p)
-    ok = check_assumption(p)
+    c = Compiled(p)
+    m, ok = c.assumption, c.valid
     print("VALID" if ok else "INVALID")
     print(f"semantics: {p.semantics}")
     print(f"assumption_states: {m.n_states}")
@@ -89,12 +82,12 @@ def _cmd_solve(args, expected_kind: str) -> int:
     if p.kind != expected_kind:
         wanted = "plan" if p.kind == "planning" else "synthesize"
         raise ParseError(f"{args.problem}: describes a {p.kind} problem; use '{wanted}'")
+    verdict = synthesize(p) if expected_kind == "synthesis" else plan(p)
     if args.emit_automata:
         os.makedirs(args.emit_automata, exist_ok=True)
-        for name, automaton in problem_automata(p).items():
+        for name in ("assumption", "goal", "game"):
             path = os.path.join(args.emit_automata, f"{name}.aut")
-            _write_text(path, format_automaton(automaton))
-    verdict = synthesize(p) if expected_kind == "synthesis" else plan(p)
+            _write_text(path, format_automaton(getattr(verdict.automata, name)))
     print(f"status: {verdict.status.value}")
     for key, value in verdict.diagnostics.items():
         print(f"{key}: {value}")
@@ -216,6 +209,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_ASSUMPTION
     except LimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except RecursionError:
+        print("resource limit: formula nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, combine, minimize
+from .dfa import Dfa, check_explicit, combine, minimize
 from .errors import LimitExceeded, VocabularyMismatch
 from .logic import (
     FALSE,
@@ -251,8 +251,10 @@ def compile_formula(vt: VarTable, f: Formula) -> Dfa:
     """Minimal DFA accepting exactly the non-empty finite traces of f.
 
     Conjuncts are compiled separately and joined by products under the same
-    state guard as the subset construction.
+    state guard as the subset construction.  Vocabularies too wide for an
+    explicit alphabet are refused before any symbol is enumerated.
     """
+    check_explicit(vt)
     first, *rest = conjuncts(f)
     m = minimize(determinize(ObligationNfa(vt, first)))
     for g in rest:

@@ -23,6 +23,32 @@ CONNECTIVES = {
 }
 
 
+def check_explicit(vt: VarTable, transitions=None, initial: int = 0) -> int:
+    """Guard an explicit construction over the joint alphabet of vt.
+
+    Vocabularies beyond EXPLICIT_VAR_LIMIT variables raise LimitExceeded,
+    so a caller that checks first never enumerates their symbols.  Given a
+    transition table, also checks that it is total over states and symbols
+    and that the initial state is in range, and returns its state count.
+    """
+    if vt.n_vars > EXPLICIT_VAR_LIMIT:
+        raise LimitExceeded(
+            f"{vt.n_vars} variables; explicit alphabets stop at {EXPLICIT_VAR_LIMIT}"
+        )
+    if transitions is None:
+        return 0
+    n = len(transitions)
+    if n == 0:
+        raise ValueError("automata need at least one state")
+    nsym = vt.n_symbols
+    for row in transitions:
+        if len(row) != nsym or any(not 0 <= t < n for t in row):
+            raise ValueError("transition table must be total over states and symbols")
+    if not 0 <= initial < n:
+        raise ValueError("initial state out of range")
+    return n
+
+
 @dataclass(frozen=True)
 class Dfa:
     """Total DFA; transitions[q][sym] is the successor of q on sym."""
@@ -35,19 +61,7 @@ class Dfa:
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(tuple(row) for row in self.transitions))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        if self.vt.n_vars > EXPLICIT_VAR_LIMIT:
-            raise LimitExceeded(
-                f"{self.vt.n_vars} variables; explicit alphabets stop at {EXPLICIT_VAR_LIMIT}"
-            )
-        n = len(self.transitions)
-        if n == 0:
-            raise ValueError("automata need at least one state")
-        nsym = self.vt.n_symbols
-        for row in self.transitions:
-            if len(row) != nsym or any(not 0 <= t < n for t in row):
-                raise ValueError("transition table must be total over states and symbols")
-        if not 0 <= self.initial < n:
-            raise ValueError("initial state out of range")
+        n = check_explicit(self.vt, self.transitions, self.initial)
         if any(not 0 <= q < n for q in self.finals):
             raise ValueError("final state out of range")
 

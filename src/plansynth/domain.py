@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dfa import EXPLICIT_VAR_LIMIT, Dfa
+from .dfa import Dfa, check_explicit
 from .errors import (
     DanglingDeltaError,
     EmptyInitError,
-    LimitExceeded,
     NoAvailableActionError,
     NonSerialPreError,
     VocabularyMismatch,
@@ -110,10 +109,7 @@ def validate(d: Domain) -> ExplicitDomain:
     and every available pair has at least one successor.
     """
     vt = d.vt
-    if vt.n_vars > EXPLICIT_VAR_LIMIT:
-        raise LimitExceeded(
-            f"{vt.n_vars} variables; explicit domain handling stops at {EXPLICIT_VAR_LIMIT}"
-        )
+    check_explicit(vt)
     n_env, n_agent = vt.n_env, vt.n_agent
     init_mask = truth_table_mask(d.init, vt.env_vars)
     pre_mask = truth_table_mask(d.pre, vt.all_vars)

@@ -1,12 +1,14 @@
 """Problem-level API: assumption checking, synthesis, planning, verification.
 
 A problem pairs an assumption about the environment with a goal for the
-agent, over finite or infinite traces.  Solving always goes through the same
-reduction: check that the assumption is environment realizable (otherwise it
-excludes nothing and the question is ill-posed), build the implication
-"assumption side implies goal" as one automaton, and solve the induced game
-for the agent.  For planning problems the assumption side additionally
-conjoins the domain's environment-behavior automaton.
+agent, over finite or infinite traces.  Every question goes through the same
+reduction, and `Compiled` is the one place that builds its automata: the
+assumption side (for planning problems conjoined with the domain's
+environment-behavior automaton), the goal, and the implication "assumption
+side implies goal".  `solve` checks that the assumption side is environment
+realizable (otherwise it excludes nothing and the question is ill-posed) and
+then solves the implication's game for the agent; the verdict keeps the
+automata it was decided on.
 
 The verifier answers the definitional question directly instead: does a given
 agent strategy reach an accepted stop against every environment that plays
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .compiler import compile_formula
 from .dfa import Dfa, combine, minimize
@@ -30,7 +33,7 @@ from .domain import (
     fairness_formula,
 )
 from .errors import InvalidAssumptionError, UnsupportedFairSolve, UnsupportedFeature
-from .games import AgentStrategy, agent_realizable, env_realizable, env_safe
+from .games import AgentStrategy, agent_realizable, env_realizable, env_safe, safe_moves
 from .logic import TRUE, And, Eventually, Formula, VarTable, is_propositional
 from .parity import Dpw, dpw_agent_realizable, dpw_combine, dpw_env_realizable
 
@@ -43,9 +46,12 @@ class Status(Enum):
 
 @dataclass
 class Verdict:
+    """A solve's answer; ``automata`` is the `Compiled` record it was decided on."""
+
     status: Status
     strategy: AgentStrategy | None = None
     diagnostics: dict = field(default_factory=dict)
+    automata: Compiled | None = None
 
 
 @dataclass
@@ -117,44 +123,6 @@ def _as_dpw(vt: VarTable, obj) -> Dpw:
     )
 
 
-def _assumption_dfa(p: Problem) -> Dfa:
-    m = _as_dfa(p.vt, p.assumption)
-    if p.kind == "planning":
-        m = minimize(combine(env_behavior_dfa(p.domain), m, "and"))
-    return m
-
-
-def _assumption_dpw(p: Problem) -> Dpw:
-    m = _as_dpw(p.vt, p.assumption)
-    if p.kind == "planning":
-        m = dpw_combine(env_behavior_dpw(p.domain), m, "and")
-    return m
-
-
-def assumption_automaton(p: Problem) -> Dfa | Dpw:
-    """The combined assumption-side automaton (with the domain, for planning)."""
-    if p.semantics == "finite":
-        return _assumption_dfa(p)
-    return _assumption_dpw(p)
-
-
-def problem_automata(p: Problem) -> dict[str, Dfa | Dpw]:
-    """The three automata a solve run is played on, keyed by role.
-
-    ``assumption`` and ``goal`` are the two sides, ``game`` is the
-    implication product the agent must win.
-    """
-    if p.semantics == "finite":
-        assumption = _assumption_dfa(p)
-        goal = _as_dfa(p.vt, p.goal)
-        game = minimize(combine(assumption, goal, "implies"))
-    else:
-        assumption = _assumption_dpw(p)
-        goal = _as_dpw(p.vt, p.goal)
-        game = dpw_combine(assumption, goal, "implies")
-    return {"assumption": assumption, "goal": goal, "game": game}
-
-
 def _refuse_fair(p: Problem) -> None:
     if p.fair:
         raise UnsupportedFairSolve(
@@ -163,67 +131,91 @@ def _refuse_fair(p: Problem) -> None:
         )
 
 
+class Compiled:
+    """The automata of one problem, each built on first use and then kept.
+
+    ``assumption`` is the assumption side (conjoined with the domain's
+    environment behaviour, for planning), ``goal`` the goal, ``valid``
+    whether the environment can realize the assumption side, and ``game``
+    the implication product the agent must win.  Fair planning problems are
+    refused when the record is made, before anything is built.
+    """
+
+    def __init__(self, p: Problem):
+        _refuse_fair(p)
+        self.problem = p
+        self.finite = p.semantics == "finite"
+
+    @cached_property
+    def assumption(self) -> Dfa | Dpw:
+        p = self.problem
+        if self.finite:
+            m = _as_dfa(p.vt, p.assumption)
+            if p.kind == "planning":
+                m = minimize(combine(env_behavior_dfa(p.domain), m, "and"))
+        else:
+            m = _as_dpw(p.vt, p.assumption)
+            if p.kind == "planning":
+                m = dpw_combine(env_behavior_dpw(p.domain), m, "and")
+        return m
+
+    @cached_property
+    def goal(self) -> Dfa | Dpw:
+        p = self.problem
+        return _as_dfa(p.vt, p.goal) if self.finite else _as_dpw(p.vt, p.goal)
+
+    @cached_property
+    def valid(self) -> bool:
+        if self.finite:
+            return env_realizable(self.assumption)[0]
+        return dpw_env_realizable(self.assumption)[0]
+
+    @cached_property
+    def game(self) -> Dfa | Dpw:
+        if self.finite:
+            return minimize(combine(self.assumption, self.goal, "implies"))
+        return dpw_combine(self.assumption, self.goal, "implies")
+
+
 def check_assumption(p: Problem) -> bool:
     """Is the assumption side (with the domain, for planning) env realizable?"""
-    _refuse_fair(p)
-    m = assumption_automaton(p)
-    if p.semantics == "finite":
-        ok, _, _ = env_realizable(m)
-    else:
-        ok, _ = dpw_env_realizable(m)
-    return ok
+    return Compiled(p).valid
 
 
-def _solve(p: Problem) -> Verdict:
-    diagnostics: dict = {"kind": p.kind, "semantics": p.semantics}
-    if p.semantics == "finite":
-        assumption = _assumption_dfa(p)
-        goal = _as_dfa(p.vt, p.goal)
-        diagnostics["assumption_states"] = assumption.n_states
-        diagnostics["goal_states"] = goal.n_states
-        ok, _, _ = env_realizable(assumption)
-        if not ok:
-            return Verdict(Status.INVALID_ASSUMPTION, None, diagnostics)
-        game = minimize(combine(assumption, goal, "implies"))
-        diagnostics["game_states"] = game.n_states
-        realizable, region, strategy = agent_realizable(game)
+def solve(p: Problem) -> Verdict:
+    """Check the assumption side, then solve the agent's game on the implication."""
+    c = Compiled(p)
+    diagnostics: dict = {
+        "kind": p.kind,
+        "semantics": p.semantics,
+        "assumption_states": c.assumption.n_states,
+        "goal_states": c.goal.n_states,
+    }
+    if not c.valid:
+        return Verdict(Status.INVALID_ASSUMPTION, None, diagnostics, c)
+    diagnostics["game_states"] = c.game.n_states
+    if c.finite:
+        realizable, region, strategy = agent_realizable(c.game)
         diagnostics["game_iterations"] = max(region.ranks.values(), default=0)
-        if not realizable:
-            return Verdict(Status.UNREALIZABLE, None, diagnostics)
-        return Verdict(Status.REALIZABLE, strategy, diagnostics)
-    assumption = _assumption_dpw(p)
-    goal = _as_dpw(p.vt, p.goal)
-    diagnostics["assumption_states"] = assumption.n_states
-    diagnostics["goal_states"] = goal.n_states
-    ok, _ = dpw_env_realizable(assumption)
-    if not ok:
-        return Verdict(Status.INVALID_ASSUMPTION, None, diagnostics)
-    game = dpw_combine(assumption, goal, "implies")
-    diagnostics["game_states"] = game.n_states
-    diagnostics["game_colors"] = len(set(game.colors))
-    realizable, strategy = dpw_agent_realizable(game)
-    if not realizable:
-        return Verdict(Status.UNREALIZABLE, None, diagnostics)
-    return Verdict(Status.REALIZABLE, strategy, diagnostics)
+    else:
+        diagnostics["game_colors"] = len(set(c.game.colors))
+        realizable, strategy = dpw_agent_realizable(c.game)
+    status = Status.REALIZABLE if realizable else Status.UNREALIZABLE
+    return Verdict(status, strategy, diagnostics, c)
 
 
 def synthesize(p: Problem) -> Verdict:
     """Find an agent strategy realizing the goal under the assumption."""
     if p.kind != "synthesis":
         raise ValueError("synthesize expects a synthesis problem")
-    return _solve(p)
+    return solve(p)
 
 
 def plan(p: Problem) -> Verdict:
     """Find an agent strategy for a planning problem under assumptions."""
     if p.kind != "planning":
         raise ValueError("plan expects a planning problem")
-    _refuse_fair(p)
-    return _solve(p)
-
-
-def solve(p: Problem) -> Verdict:
-    return plan(p) if p.kind == "planning" else synthesize(p)
+    return solve(p)
 
 
 def fond_problem(d: Domain, goal: Formula, fair: bool = False) -> Problem:
@@ -232,22 +224,20 @@ def fond_problem(d: Domain, goal: Formula, fair: bool = False) -> Problem:
     A propositional goal is read as reachability; a temporal goal is taken
     as-is.  Either way the agent additionally owes executability (it only
     ever plays available actions).  The environment is unconstrained beyond
-    the domain itself.
+    the domain itself.  Fair problems are refused, as they are by every solver.
     """
-    if fair:
-        raise UnsupportedFairSolve(
-            "fair planning is export-only; no finite-trace fair solver is provided",
-            fairness_formula(d),
-        )
     wrapped = Eventually(goal) if is_propositional(goal) else goal
-    return Problem(
+    p = Problem(
         "planning",
         "finite",
         d.vt,
         TRUE,
         And(executability_formula(d), wrapped),
         domain=d,
+        fair=fair,
     )
+    _refuse_fair(p)
+    return p
 
 
 def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
@@ -261,24 +251,14 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     """
     if p.semantics != "finite":
         raise UnsupportedFeature("verification is provided for finite semantics only")
-    _refuse_fair(p)
+    c = Compiled(p)
     if s.vt != p.vt:
         raise ValueError("strategy built over a different variable table")
     vt = p.vt
-    assumption = _assumption_dfa(p)
-    goal = _as_dfa(p.vt, p.goal)
+    assumption, goal = c.assumption, c.goal
     safe, _ = env_safe(assumption)
     good = assumption.finals & safe
-
-    def safe_moves(qa: int) -> list[int]:
-        row = assumption.transitions[qa]
-        return [
-            e
-            for e in range(vt.n_env_states)
-            if all(row[vt.joint(e, a)] in good for a in range(vt.n_actions))
-        ]
-
-    if not safe_moves(assumption.initial):
+    if assumption.initial not in safe:
         raise InvalidAssumptionError("the assumption is not environment realizable")
 
     def reject(move, looping, reason):
@@ -296,7 +276,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     # (move, symbol) steps that led to the top frame.  A node is settled once
     # every play from it is known to end well.
     start = (s.initial, assumption.initial, goal.initial, True)
-    stack = [(start, iter(safe_moves(start[1])))]
+    stack = [(start, safe_moves(assumption, good, start[1]))]
     path: list[tuple[int, int]] = []
     on_path = {start}
     settled: set = set()
@@ -319,7 +299,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
                 continue
             on_path.add(nxt)
             path.append((e, sym))
-            stack.append((nxt, iter(safe_moves(nxt[1]))))
+            stack.append((nxt, safe_moves(assumption, good, nxt[1])))
             break
         else:
             stack.pop()

@@ -257,42 +257,51 @@ def env_safe(m: Dfa) -> tuple[frozenset[int], int]:
     return safe, len({k for q, k in layers.items() if q < n})
 
 
-def env_realizable(m: Dfa) -> tuple[bool, Region, EnvStrategy | None]:
-    """Can the environment keep every nonempty prefix accepted?
+def safe_moves(m: Dfa, good, q: int):
+    """The environment states at q, in increasing order, whose every answer
+    leads into good."""
+    row = m.transitions[q]
+    n_env = m.vt.n_env_states
+    for e in range(n_env):
+        # the answers to e are the symbols e, e + n_env, e + 2 * n_env, ...
+        if all(t in good for t in row[e::n_env]):
+            yield e
 
-    The strategy uses the automaton state after each completed round as
-    memory and always plays the smallest environment state that stays inside
-    the safe region.
+
+def env_strategy(m, choose) -> EnvStrategy:
+    """The environment strategy that plays choose(q) at every automaton state q.
+
+    Memory is the automaton state after each completed round; the table
+    covers the states reachable from the initial one, breadth first.
     """
     vt = m.vt
-    safe, _ = env_safe(m)
-    region = Region({q: 0 for q in sorted(safe)})
-    if m.initial not in safe:
-        return False, region, None
-
-    def choice(q: int) -> int:
-        row = m.transitions[q]
-        for e in range(vt.n_env_states):
-            if all(
-                row[vt.joint(e, a)] in m.finals and row[vt.joint(e, a)] in safe
-                for a in range(vt.n_actions)
-            ):
-                return e
-        raise AssertionError("safe state without a safe move")
-
     table: dict[tuple[int, int], tuple[int, int]] = {}
     queue = deque([m.initial])
     seen = {m.initial}
     while queue:
         q = queue.popleft()
-        e = choice(q)
+        e = choose(q)
         for a in range(vt.n_actions):
             t = m.transitions[q][vt.joint(e, a)]
-            table[(q, a)] = (choice(t), t)
+            table[(q, a)] = (choose(t), t)
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return True, region, EnvStrategy(vt, m.n_states, m.initial, choice(m.initial), table)
+    return EnvStrategy(vt, m.n_states, m.initial, choose(m.initial), table)
+
+
+def env_realizable(m: Dfa) -> tuple[bool, Region, EnvStrategy | None]:
+    """Can the environment keep every nonempty prefix accepted?
+
+    The strategy always plays the smallest environment state that stays
+    inside the accepting part of the safe region.
+    """
+    safe, _ = env_safe(m)
+    region = Region({q: 0 for q in sorted(safe)})
+    if m.initial not in safe:
+        return False, region, None
+    good = m.finals & safe
+    return True, region, env_strategy(m, lambda q: next(safe_moves(m, good, q)))
 
 
 def play(agent: AgentStrategy, env, max_rounds: int = 10_000) -> tuple[list[int], bool]:

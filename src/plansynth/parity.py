@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .dfa import CONNECTIVES, EXPLICIT_VAR_LIMIT, _check_same_vt
+from .dfa import CONNECTIVES, _check_same_vt, check_explicit
 from .errors import LimitExceeded, VocabularyMismatch
-from .games import AgentStrategy, EnvStrategy, attract, predecessors, round_arena
+from .games import AgentStrategy, EnvStrategy, attract, env_strategy, predecessors, round_arena
 from .logic import VarTable
 
 COMBINE_STATE_LIMIT = 1_000_000
@@ -39,19 +39,7 @@ class Dpw:
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(tuple(row) for row in self.transitions))
         object.__setattr__(self, "colors", tuple(self.colors))
-        if self.vt.n_vars > EXPLICIT_VAR_LIMIT:
-            raise LimitExceeded(
-                f"{self.vt.n_vars} variables; explicit alphabets stop at {EXPLICIT_VAR_LIMIT}"
-            )
-        n = len(self.transitions)
-        if n == 0:
-            raise ValueError("automata need at least one state")
-        nsym = self.vt.n_symbols
-        for row in self.transitions:
-            if len(row) != nsym or any(not 0 <= t < n for t in row):
-                raise ValueError("transition table must be total over states and symbols")
-        if not 0 <= self.initial < n:
-            raise ValueError("initial state out of range")
+        n = check_explicit(self.vt, self.transitions, self.initial)
         if len(self.colors) != n or any(c < 0 for c in self.colors):
             raise ValueError("need one nonnegative color per state")
 
@@ -317,26 +305,13 @@ def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:
     answer does not lean on complementation.
     """
     m = normalize_colors(m)
-    vt = m.vt
     succ, owner, priority, choices = _arena(m, env_seeks_even=True)
     win0, _, moves0, _ = solve_game(succ, owner, priority)
     if m.initial not in win0:
         return False, None
-    n_env = vt.n_env_states
+    n_env = m.vt.n_env_states
 
     def chosen(q: int) -> int:
         return _env_choice(choices, n_env, q, moves0[q])
 
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    queue = deque([m.initial])
-    seen = {m.initial}
-    while queue:
-        q = queue.popleft()
-        e = chosen(q)
-        for a in range(vt.n_actions):
-            target = m.transitions[q][vt.joint(e, a)]
-            table[(q, a)] = (chosen(target), target)
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return True, EnvStrategy(vt, m.n_states, m.initial, chosen(m.initial), table)
+    return True, env_strategy(m, chosen)

@@ -24,9 +24,9 @@ from plansynth.domain import (
     universal_domain,
 )
 from plansynth.engine import (
+    Compiled,
     Problem,
     Status,
-    assumption_automaton,
     check_assumption,
     fond_problem,
     plan,
@@ -123,7 +123,7 @@ def test_criterion_01():
         failures.append("output-then-halt strategy realizes the implication")
 
     first_moves = []
-    for m in (compile_formula(XY, omega), assumption_automaton(p)):
+    for m in (compile_formula(XY, omega), Compiled(p).assumption):
         ok, _, strat = env_realizable(m)
         if not ok or strat is None:
             failures.append("no environment strategy extracted")

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` replaces functions by name and reads the
 ``(value, count)`` results of the two finite games, so a renamed function
-or a changed result shape would break every traced run.
+or a changed result shape would break every traced run, and a function
+called through a name the tracer does not wrap would count nothing.
 """
 
 import json
@@ -17,7 +18,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize(
     "workload, count",
-    [("chain-games", "games.agent_sweeps"), ("parity-games", "parity.arena_nodes")],
+    [
+        ("chain-games", "games.agent_sweeps"),
+        ("parity-games", "parity.arena_nodes"),
+        ("ltlf-synth", "compiler.calls"),
+        ("fond-plan", "domain.validate_calls"),
+    ],
 )
 def test_traced_fast_run(workload, count):
     done = subprocess.run(

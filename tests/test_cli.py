@@ -8,7 +8,11 @@ or rejected, 2 invalid assumption, 3 bad input, 4 recognized-but-unsolved,
 
 from __future__ import annotations
 
-from plansynth import compiler
+from collections import Counter
+
+import pytest
+
+from plansynth import cli, compiler, domain, engine
 from plansynth.cli import main
 from plansynth.compiler import compile_formula
 from plansynth.dfa import combine, language_equal, minimize
@@ -375,3 +379,103 @@ def test_resource_limit_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 10)
     code, _, _ = run(capsys, "synthesize", problem)
     assert code in (0, 1)
+
+
+def test_too_wide_vocabularies_are_refused_before_the_subset_construction(
+    tmp_path, capsys, monkeypatch
+):
+    env = " ".join(f"e{i}" for i in range(9))
+    agent = " ".join(f"a{i}" for i in range(8))
+    problem = write(
+        tmp_path,
+        "p.txt",
+        f"semantics: finite\nenv: {env}\nagent: {agent}\nassumption: true\ngoal: F a0\n",
+    )
+
+    def refuse(nfa):
+        raise AssertionError("determinize called on a 17-variable vocabulary")
+
+    monkeypatch.setattr(compiler, "determinize", refuse)
+    code, out, err = run(capsys, "synthesize", problem)
+    assert code == 5
+    assert out == "" and err == "resource limit: 17 variables; explicit alphabets stop at 16\n"
+
+
+def test_too_deep_nesting_is_a_resource_limit(tmp_path, capsys):
+    goal = "X " * 1500 + "x"
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", f"goal: {goal}"))
+    code, out, err = run(capsys, "synthesize", problem)
+    assert code == 5
+    assert out == "" and err == "resource limit: formula nested too deeply\n"
+
+
+# --- one compile per command --------------------------------------------------
+
+
+def count_calls(monkeypatch, counts, module, name):
+    """Count the calls made to ``module.name`` into ``counts[name]``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    counts = Counter()
+    for name in ("compile_formula", "env_behavior_dfa"):
+        count_calls(monkeypatch, counts, engine, name)
+    count_calls(monkeypatch, counts, domain, "validate")
+    return counts
+
+
+def test_check_assumption_compiles_once(tmp_path, capsys, pipeline_calls):
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT)
+    assert run(capsys, "check-assumption", problem)[0] == 0
+    assert pipeline_calls == {"compile_formula": 1}
+
+    pipeline_calls.clear()
+    write(tmp_path, "d.txt", DOMAIN_TEXT)
+    planning = write(tmp_path, "q.txt", PLAN_TEXT)
+    assert run(capsys, "check-assumption", planning)[0] == 0
+    assert pipeline_calls == {"compile_formula": 1, "env_behavior_dfa": 1, "validate": 1}
+
+
+@pytest.mark.parametrize("command", ["synthesize", "plan"])
+def test_emitted_automata_are_the_solved_ones(
+    tmp_path, capsys, monkeypatch, command, pipeline_calls
+):
+    write(tmp_path, "d.txt", DOMAIN_TEXT)
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT if command == "synthesize" else PLAN_TEXT)
+    verdicts = []
+    solver = getattr(cli, command)
+
+    def keep(p):
+        verdicts.append(solver(p))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli, command, keep)
+    aut_dir = tmp_path / "aut"
+    code, _, _ = run(capsys, command, problem, "--emit-automata", str(aut_dir))
+    assert code == 0
+    if command == "synthesize":
+        assert pipeline_calls == {"compile_formula": 2}
+    else:
+        assert pipeline_calls == {"compile_formula": 2, "env_behavior_dfa": 1, "validate": 1}
+    [verdict] = verdicts
+    for name in ("assumption", "goal", "game"):
+        text = (aut_dir / f"{name}.aut").read_text()
+        assert text == format_automaton(getattr(verdict.automata, name))
+
+
+def test_fair_planning_emits_no_automata(tmp_path, capsys):
+    write(tmp_path, "d.txt", DOMAIN_TEXT)
+    problem = write(tmp_path, "p.txt", PLAN_TEXT + "fair: true\n")
+    aut_dir = tmp_path / "aut"
+    code, out, _ = run(capsys, "plan", problem, "--emit-automata", str(aut_dir))
+    assert code == 4
+    assert out.startswith("unsupported: ")
+    assert not aut_dir.exists()

@@ -15,13 +15,12 @@ from plansynth.domain import (
     universal_domain,
 )
 from plansynth.engine import (
+    Compiled,
     Problem,
     Status,
-    assumption_automaton,
     check_assumption,
     fond_problem,
     plan,
-    problem_automata,
     solve,
     synthesize,
     verify_strategy,
@@ -416,11 +415,11 @@ def test_infinite_planning_smoke():
 
 def test_problem_automata_roles():
     p = synthesis("y -> x", "y -> !x")
-    parts = problem_automata(p)
-    assert set(parts) == {"assumption", "goal", "game"}
-    assert parts["assumption"] == assumption_automaton(p)
+    parts = Compiled(p)
+    assert parts.assumption == Compiled(p).assumption
+    assert parts.goal == compile_formula(XY, parse_formula("y -> !x", XY))
     direct = compile_formula(XY, parse_formula("(y -> x) -> (y -> !x)", XY))
-    assert language_equal(parts["game"], direct)
+    assert language_equal(parts.game, direct)
 
 
 def test_planning_assumption_includes_domain():
@@ -428,4 +427,30 @@ def test_planning_assumption_includes_domain():
     p = Problem(
         "planning", "finite", PM, parse_formula("true"), Atom("p"), domain=d
     )
-    assert language_equal(assumption_automaton(p), minimize(env_behavior_dfa(d)))
+    assert language_equal(Compiled(p).assumption, minimize(env_behavior_dfa(d)))
+
+
+def test_verdict_keeps_the_compiled_automata():
+    p = synthesis("y -> x", "y -> !x")
+    verdict = synthesize(p)
+    c = verdict.automata
+    assert isinstance(c, Compiled) and c.problem is p
+    assert c.valid
+    assert verdict.diagnostics["game_states"] == c.game.n_states
+
+
+def test_game_is_not_built_for_an_invalid_assumption():
+    verdict = synthesize(synthesis("F x", "true"))
+    assert verdict.status == Status.INVALID_ASSUMPTION
+    c = verdict.automata
+    assert not c.valid
+    # cached properties live in the instance dict once built
+    assert {"assumption", "goal", "valid"} <= set(vars(c))
+    assert "game" not in vars(c)
+
+
+def test_compiled_refuses_fair_problems_first():
+    d = reach_domain()
+    p = Problem("planning", "finite", PM, parse_formula("true"), Atom("p"), domain=d, fair=True)
+    with pytest.raises(UnsupportedFairSolve):
+        Compiled(p)

@@ -12,14 +12,17 @@ from plansynth.games import (
     env_realizable,
     env_safe,
     play,
+    safe_moves,
 )
 from plansynth.logic import VarTable, parse_formula
 
 from helpers import (
     XY,
+    _oracle_safe_moves,
     oracle_agent_layers,
     oracle_agent_region,
     oracle_env_safe,
+    oracle_safe_set,
     random_dfa,
 )
 
@@ -187,6 +190,27 @@ def test_env_first_move_is_forced_by_implication():
         )
     ]
     assert safe_moves == [0]
+
+
+def test_env_strategy_plays_the_smallest_safe_move():
+    rng = random.Random(47)
+    for vt in VOCABULARIES:
+        for _ in range(30):
+            m = random_dfa(rng, vt, 6)
+            safe = oracle_safe_set(m)
+            moves = {q: _oracle_safe_moves(m, safe, q) for q in range(m.n_states)}
+            for q in range(m.n_states):
+                assert list(safe_moves(m, m.finals & safe, q)) == moves[q]
+            ok, _, strat = env_realizable(m)
+            if not ok:
+                continue
+            assert strat.first_output == moves[m.initial][0]
+            played = {q for q, _ in strat.table}
+            assert m.initial in played
+            for (q, a), (e, t) in strat.table.items():
+                assert t == m.transitions[q][vt.joint(moves[q][0], a)]
+                assert e == moves[t][0] and t in played
+            assert len(strat.table) == len(played) * vt.n_actions
 
 
 def test_conditional_goal_game_is_realizable():
