@@ -4,8 +4,9 @@ Every command reads the textual interchange files and prints a short
 machine-readable report of ``key: value`` lines.  Exit codes are uniform:
 0 valid/realizable/accepted, 1 unrealizable or rejected, 2 invalid
 assumption, 3 parse or validation failure, 4 requests the engine
-recognizes but does not solve, 5 resource limit (an explicit construction
-would exceed its size guard, or a formula is nested too deeply to process).
+recognizes but does not solve, 5 resource limit: an alphabet of more than
+`dfa.EXPLICIT_VAR_LIMIT` variables, an explicit construction past the one
+state guard `dfa.STATE_LIMIT`, or a formula nested too deeply to process.
 """
 
 from __future__ import annotations

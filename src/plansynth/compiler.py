@@ -7,7 +7,9 @@ A top-level conjunction is compiled conjunct by conjunct: each conjunct goes
 through that pipeline on its own, and the minimal automata are folded by
 products, each minimized in turn.  The subset construction of a conjunction
 can grow with the product of its conjuncts' state counts; the compositional
-route only ever builds products of minimal automata.
+route only ever builds products of minimal automata.  Both the subset
+constructions and the products number their states through `dfa.explore`,
+so they stop at its one state guard, `dfa.STATE_LIMIT`.
 
 Formula nodes are hash-consed (see `logic.Formula`), so the memo tables
 keyed by obligations hash each node in constant time and compare by
@@ -23,14 +25,11 @@ at the end of a trace.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, check_explicit, combine, minimize
-from .errors import LimitExceeded, VocabularyMismatch
+from .dfa import Dfa, check_explicit, combine, explore, minimize
+from .errors import VocabularyMismatch
 from .logic import (
-    FALSE,
-    TRUE,
     Always,
     And,
     Atom,
@@ -46,30 +45,10 @@ from .logic import (
     VarTable,
     WeakNext,
     atom_names,
-    children,
     eval_finite,
     is_nnf,
     to_nnf,
 )
-
-DETERMINIZE_STATE_LIMIT = 200_000
-
-
-def closure(f: Formula) -> frozenset[Formula]:
-    """Subformulas of the normal form plus the constants.
-
-    Every obligation that can arise while reading a word is drawn from this
-    set, so its size bounds the nondeterministic state width.
-    """
-    out = {TRUE, FALSE}
-
-    def walk(g: Formula) -> None:
-        out.add(g)
-        for c in children(g):
-            walk(c)
-
-    walk(to_nnf(f))
-    return frozenset(out)
 
 
 def _obligation(g: Formula) -> frozenset[Formula] | None:
@@ -204,34 +183,22 @@ def empty_suffix_ok(f: Formula) -> bool:
 
 def determinize(nfa: ObligationNfa) -> Dfa:
     """Subset construction; a subset accepts iff some member could close."""
-    vt = nfa.vt
-    nsym = vt.n_symbols
-    initial_sets = frozenset() if nfa.initial is None else frozenset({nfa.initial})
-    start = (initial_sets, empty_suffix_ok(nfa.nnf))
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        sets, _ = queue.popleft()
-        row = []
+    nsym = nfa.vt.n_symbols
+
+    def row_of(state):
+        sets, _ = state
         for sym in range(nsym):
             nexts = set()
             done = False
             for s in sets:
                 nexts.update(nfa.successors(s, sym))
                 done = done or nfa.can_end(s, sym)
-            target = (frozenset(_antichain(nexts)), done)
-            if target not in index:
-                if len(index) >= DETERMINIZE_STATE_LIMIT:
-                    raise LimitExceeded("subset construction exceeded the state guard")
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row.append(index[target])
-        rows.append(row)
-    finals = frozenset(i for i, (_, done) in enumerate(order) if done)
-    return Dfa(vt, tuple(tuple(r) for r in rows), 0, finals)
+            yield frozenset(_antichain(nexts)), done
+
+    initial_sets = frozenset() if nfa.initial is None else frozenset({nfa.initial})
+    states, rows = explore((initial_sets, empty_suffix_ok(nfa.nnf)), row_of)
+    finals = frozenset(i for i, (_, done) in enumerate(states) if done)
+    return Dfa(nfa.vt, rows, 0, finals)
 
 
 def conjuncts(f: Formula) -> list[Formula]:
@@ -250,14 +217,15 @@ def conjuncts(f: Formula) -> list[Formula]:
 def compile_formula(vt: VarTable, f: Formula) -> Dfa:
     """Minimal DFA accepting exactly the non-empty finite traces of f.
 
-    Conjuncts are compiled separately and joined by products under the same
-    state guard as the subset construction.  Vocabularies too wide for an
-    explicit alphabet are refused before any symbol is enumerated.
+    Conjuncts are compiled separately and joined by products; the subset
+    constructions and the products all stop at the one state guard,
+    `dfa.STATE_LIMIT`.  Vocabularies too wide for an explicit alphabet are
+    refused before any symbol is enumerated.
     """
     check_explicit(vt)
     first, *rest = conjuncts(f)
     m = minimize(determinize(ObligationNfa(vt, first)))
     for g in rest:
         part = minimize(determinize(ObligationNfa(vt, g)))
-        m = minimize(combine(m, part, "and", limit=DETERMINIZE_STATE_LIMIT))
+        m = minimize(combine(m, part, "and"))
     return m

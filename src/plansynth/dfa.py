@@ -1,20 +1,21 @@
 """Deterministic finite automata over joint symbols.
 
 The alphabet is always the full set of joint symbols of a VarTable, kept
-explicit; vocabularies beyond 16 variables are rejected up front.  Words are
+explicit; vocabularies beyond 16 variables are rejected up front, and every
+explicit construction stops at STATE_LIMIT states (see `explore`).  Words are
 finite symbol sequences, and the empty word is uniformly not accepted by
 `accepts`.  Language comparisons are therefore made over non-empty words.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import LimitExceeded, VocabularyMismatch
 from .logic import VarTable
 
 EXPLICIT_VAR_LIMIT = 16
+STATE_LIMIT = 200_000
 
 CONNECTIVES = {
     "and": lambda a, b: a and b,
@@ -47,6 +48,34 @@ def check_explicit(vt: VarTable, transitions=None, initial: int = 0) -> int:
     if not 0 <= initial < n:
         raise ValueError("initial state out of range")
     return n
+
+
+def explore(start, row_of) -> tuple[list, list[tuple[int, ...]]]:
+    """Number the states reachable from start breadth first.
+
+    ``row_of(state)`` gives the successors of a state in symbol order.
+    Returns (states, rows): start is numbered 0, ``states[i]`` is the state
+    numbered i and ``rows[i]`` the numbers of its successors.  Every explicit
+    construction numbers its states here, so one guard bounds them all:
+    past STATE_LIMIT states, LimitExceeded is raised.
+    """
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:  # grows while it is walked: a FIFO queue
+        row = []
+        for target in row_of(state):
+            i = index.get(target)
+            if i is None:
+                i = index[target] = len(states)
+                if i >= STATE_LIMIT:
+                    raise LimitExceeded(
+                        f"{i + 1} states; explicit constructions stop at {STATE_LIMIT}"
+                    )
+                states.append(target)
+            row.append(i)
+        rows.append(tuple(row))
+    return states, rows
 
 
 @dataclass(frozen=True)
@@ -103,37 +132,16 @@ def _check_same_vt(m1: Dfa, m2) -> None:
         raise VocabularyMismatch("automata built over different variable tables")
 
 
-def combine(m1: Dfa, m2: Dfa, connective: str, limit: int | None = None) -> Dfa:
-    """Reachable product with finals induced by the boolean connective.
-
-    With a limit, raises LimitExceeded once the product would grow past
-    that many states.
-    """
+def combine(m1: Dfa, m2: Dfa, connective: str) -> Dfa:
+    """Reachable product with finals induced by the boolean connective."""
     _check_same_vt(m1, m2)
     op = CONNECTIVES[connective]
-    nsym = m1.vt.n_symbols
-    start = (m1.initial, m2.initial)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
-        row = []
-        for sym in range(nsym):
-            target = (m1.transitions[q1][sym], m2.transitions[q2][sym])
-            if target not in index:
-                if limit is not None and len(index) >= limit:
-                    raise LimitExceeded("product construction exceeded the state guard")
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row.append(index[target])
-        rows.append(row)
+    t1, t2 = m1.transitions, m2.transitions
+    states, rows = explore((m1.initial, m2.initial), lambda q: zip(t1[q[0]], t2[q[1]]))
     finals = frozenset(
-        i for i, (q1, q2) in enumerate(order) if op(q1 in m1.finals, q2 in m2.finals)
+        i for i, (q1, q2) in enumerate(states) if op(q1 in m1.finals, q2 in m2.finals)
     )
-    return Dfa(m1.vt, tuple(tuple(r) for r in rows), 0, finals)
+    return Dfa(m1.vt, rows, 0, finals)
 
 
 def complement(m: Dfa) -> Dfa:
@@ -223,36 +231,21 @@ def minimize(m: Dfa) -> Dfa:
     for q, b in enumerate(block):
         rep.setdefault(b, q)
     # the numbering depends on the classes alone, not on the order above
-    renumber = {block[initial]: 0}
-    order = [block[initial]]
-    rows = []
-    for b in order:
-        row = list(map(block.__getitem__, trans[rep[b]]))
-        for tb in dict.fromkeys(row):
-            if tb not in renumber:
-                renumber[tb] = len(order)
-                order.append(tb)
-        rows.append(row)
-    table = tuple(tuple(map(renumber.__getitem__, row)) for row in rows)
-    new_finals = frozenset(renumber[b] for b in order if finals[rep[b]])
+    classes, table = explore(block[initial], lambda b: map(block.__getitem__, trans[rep[b]]))
+    new_finals = frozenset(i for i, b in enumerate(classes) if finals[rep[b]])
     return Dfa(m.vt, table, 0, new_finals)
 
 
 def language_equal(m1: Dfa, m2: Dfa) -> bool:
     """Exact equality of the accepted languages of non-empty words."""
     _check_same_vt(m1, m2)
-    nsym = m1.vt.n_symbols
-    start = (m1.initial, m2.initial)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        q1, q2 = queue.popleft()
-        for sym in range(nsym):
-            target = (m1.transitions[q1][sym], m2.transitions[q2][sym])
-            # every successor is reached by a non-empty word, so it must agree
-            if (target[0] in m1.finals) != (target[1] in m2.finals):
-                return False
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return True
+    t1, t2 = m1.transitions, m2.transitions
+
+    def row_of(pair):
+        q1, q2 = (m1.initial, m2.initial) if pair is None else pair
+        return zip(t1[q1], t2[q2])
+
+    # None stands for the empty word, so every later pair is reached by a
+    # non-empty word and must agree
+    pairs, _ = explore(None, row_of)
+    return all((q1 in m1.finals) == (q2 in m2.finals) for q1, q2 in pairs[1:])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .dfa import Dfa
+from .dfa import Dfa, check_explicit
 from .domain import Domain
 from .engine import Problem
 from .errors import ParseError
@@ -127,6 +127,7 @@ def format_automaton(m: Dfa | Dpw) -> str:
 def parse_automaton(text: str, source: str = "<automaton>") -> Dfa | Dpw:
     headers, records = _scan(text, source)
     vt = _vartable(headers, source)
+    check_explicit(vt)
     lineno, value = _take(headers, source, "states")
     n = _int(source, lineno, value, "state count")
     if n == 0:
@@ -148,7 +149,10 @@ def parse_automaton(text: str, source: str = "<automaton>") -> Dfa | Dpw:
         _fail(source, None, "exactly one of 'finals:' and 'colors:' is required")
     _no_leftovers(headers, source)
 
-    table: list[list[int | None]] = [[None] * vt.n_symbols for _ in range(n)]
+    # the table is filled from the records alone, so a file that declares far
+    # more transitions than it writes costs no more than its own length
+    nsym = vt.n_symbols
+    table: dict[int, int] = {}
     for lineno, line in records:
         tokens = line.split()
         if len(tokens) != 3:
@@ -156,15 +160,16 @@ def parse_automaton(text: str, source: str = "<automaton>") -> Dfa | Dpw:
         src = _int(source, lineno, tokens[0], "source state", n)
         sym = _bits(vt, source, lineno, tokens[1], vt.n_vars)
         dst = _int(source, lineno, tokens[2], "target state", n)
-        if table[src][sym] is not None:
+        pos = src * nsym + sym
+        if pos in table:
             _fail(source, lineno, f"duplicate transition from {src} on {tokens[1]}")
-        table[src][sym] = dst
-    for src, row in enumerate(table):
-        for sym, dst in enumerate(row):
-            if dst is None:
-                _fail(source, None,
-                      f"missing transition from {src} on {vt.format_bits(sym, vt.n_vars)}")
-    transitions = tuple(tuple(row) for row in table)
+        table[pos] = dst
+    if len(table) < n * nsym:
+        # among the first len(table) + 1 positions one is missing
+        src, sym = divmod(next(i for i in range(n * nsym) if i not in table), nsym)
+        _fail(source, None, f"missing transition from {src} on {vt.format_bits(sym, vt.n_vars)}")
+    flat = list(map(table.__getitem__, range(n * nsym)))
+    transitions = tuple(tuple(flat[i:i + nsym]) for i in range(0, n * nsym, nsym))
     if finals is not None:
         return Dfa(vt, transitions, initial, finals)
     return Dpw(vt, transitions, initial, colors)

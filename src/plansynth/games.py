@@ -21,10 +21,9 @@ accepted language.  Each costs time linear in the arena's edges.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .dfa import Dfa
+from .dfa import Dfa, explore
 from .logic import VarTable
 
 # owners of the round arena's nodes in the finite games
@@ -218,25 +217,17 @@ def agent_realizable(m: Dfa) -> tuple[bool, Region, AgentStrategy | None]:
     if any(ans is None for ans in first.values()):
         return False, region, None
     table: dict[tuple[int, int], tuple[int | None, int]] = {}
-    queue = deque()
-    seen = set()
-    for e, ans in sorted(first.items()):
-        a, t = ans
-        table[(fresh, e)] = (a, t)
-        if t not in seen:
-            seen.add(t)
-            queue.append(t)
-    while queue:
-        q = queue.popleft()
+
+    def row_of(q):
         for e in range(vt.n_env_states):
             if q in m.finals:
                 table[(q, e)] = (None, q)
-                continue
-            a, t = _agent_answer(m, pos, q, e)
-            table[(q, e)] = (a, t)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+            else:
+                answer = first[e] if q == fresh else _agent_answer(m, pos, q, e)
+                table[(q, e)] = answer
+                yield answer[1]
+
+    explore(fresh, row_of)
     return True, region, AgentStrategy(vt, m.n_states + 1, fresh, table)
 
 
@@ -275,19 +266,18 @@ def env_strategy(m, choose) -> EnvStrategy:
     covers the states reachable from the initial one, breadth first.
     """
     vt = m.vt
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    queue = deque([m.initial])
-    seen = {m.initial}
-    while queue:
-        q = queue.popleft()
-        e = choose(q)
+    moves: dict[int, int] = {}
+    targets: dict[tuple[int, int], int] = {}
+
+    def row_of(q):
+        e = moves[q] = choose(q)
         for a in range(vt.n_actions):
-            t = m.transitions[q][vt.joint(e, a)]
-            table[(q, a)] = (choose(t), t)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return EnvStrategy(vt, m.n_states, m.initial, choose(m.initial), table)
+            targets[(q, a)] = t = m.transitions[q][vt.joint(e, a)]
+            yield t
+
+    explore(m.initial, row_of)
+    table = {key: (moves[t], t) for key, t in targets.items()}
+    return EnvStrategy(vt, m.n_states, m.initial, moves[m.initial], table)
 
 
 def env_realizable(m: Dfa) -> tuple[bool, Region, EnvStrategy | None]:

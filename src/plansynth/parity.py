@@ -15,16 +15,12 @@ rather than from complementing one solution.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .dfa import CONNECTIVES, _check_same_vt, check_explicit
-from .errors import LimitExceeded, VocabularyMismatch
+from .dfa import CONNECTIVES, _check_same_vt, check_explicit, explore
+from .errors import VocabularyMismatch
 from .games import AgentStrategy, EnvStrategy, attract, env_strategy, predecessors, round_arena
 from .logic import VarTable
-
-COMBINE_STATE_LIMIT = 1_000_000
-COMBINE_COLOR_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,10 @@ def accepts_lasso(m: Dpw, prefix, loop) -> bool:
 
 
 def normalize_colors(m: Dpw) -> Dpw:
-    """Smallest equivalent coloring: collapse consecutive same-parity colors."""
+    """Smallest equivalent coloring: collapse consecutive same-parity colors.
+
+    Returns m itself when its coloring is already the smallest.
+    """
     used = sorted(set(m.colors))
     mapping: dict[int, int] = {}
     current = used[0] % 2
@@ -81,6 +80,8 @@ def normalize_colors(m: Dpw) -> Dpw:
         if c % 2 != current % 2:
             current += 1
         mapping[c] = current
+    if all(mapping[c] == c for c in used):
+        return m
     return Dpw(m.vt, m.transitions, m.initial, tuple(mapping[c] for c in m.colors))
 
 
@@ -106,44 +107,24 @@ def dpw_combine(m1: Dpw, m2: Dpw, connective: str) -> Dpw:
     m1 = normalize_colors(m1)
     m2 = normalize_colors(m2)
     alphabet = sorted({("L", c) for c in m1.colors} | {("R", c) for c in m2.colors})
-    d = len(alphabet)
-    if d > COMBINE_COLOR_LIMIT:
-        raise LimitExceeded(f"{d} tagged colors; products stop at {COMBINE_COLOR_LIMIT}")
 
     def good(window) -> bool:
         c1 = max(c for tag, c in window if tag == "L")
         c2 = max(c for tag, c in window if tag == "R")
         return test(c1 % 2 == 0, c2 % 2 == 0)
 
-    nsym = m1.vt.n_symbols
-    start = (m1.initial, m2.initial, tuple(alphabet), d)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        q1, q2, record, _ = queue.popleft()
-        row = []
-        for sym in range(nsym):
-            t1 = m1.transitions[q1][sym]
-            t2 = m2.transitions[q2][sym]
+    def row_of(state):
+        q1, q2, record, _ = state
+        for t1, t2 in zip(m1.transitions[q1], m2.transitions[q2]):
             left = ("L", m1.colors[t1])
             right = ("R", m2.colors[t2])
             h = max(record.index(left), record.index(right)) + 1
             moved = (left, right) + tuple(x for x in record if x != left and x != right)
-            target = (t1, t2, moved, h)
-            if target not in index:
-                if len(index) >= COMBINE_STATE_LIMIT:
-                    raise LimitExceeded("parity product exceeded the state guard")
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row.append(index[target])
-        rows.append(row)
-    colors = tuple(
-        2 * h if good(record[:h]) else 2 * h + 1 for _, _, record, h in order
-    )
-    return normalize_colors(Dpw(m1.vt, tuple(tuple(r) for r in rows), 0, colors))
+            yield t1, t2, moved, h
+
+    states, rows = explore((m1.initial, m2.initial, tuple(alphabet), len(alphabet)), row_of)
+    colors = tuple(2 * h if good(record[:h]) else 2 * h + 1 for _, _, record, h in states)
+    return normalize_colors(Dpw(m1.vt, rows, 0, colors))
 
 
 # --- parity game solving ---------------------------------------------------
@@ -284,17 +265,15 @@ def dpw_agent_realizable(m: Dpw) -> tuple[bool, AgentStrategy | None]:
     if m.initial not in regions.agent_states:
         return False, None
     table: dict[tuple[int, int], tuple[int | None, int]] = {}
-    queue = deque([m.initial])
-    seen = {m.initial}
-    while queue:
-        q = queue.popleft()
+
+    def row_of(q):
         for e in range(vt.n_env_states):
             a = regions.agent_moves[(q, e)]
             target = m.transitions[q][vt.joint(e, a)]
             table[(q, e)] = (a, target)
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
+            yield target
+
+    explore(m.initial, row_of)
     return True, AgentStrategy(vt, m.n_states, m.initial, table)
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from plansynth import cli, compiler, domain, engine
+from plansynth import cli, compiler, dfa, domain, engine
 from plansynth.cli import main
 from plansynth.compiler import compile_formula
 from plansynth.dfa import combine, language_equal, minimize
@@ -370,15 +370,27 @@ def test_missing_file_is_bad_input(tmp_path, capsys):
 
 def test_resource_limit_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     # the goal's conjuncts have 6 and 7 states and their product 10, past
-    # the guard; the same problem under a larger guard is solved
+    # the guard; the same problem under a guard of 13 is solved
     problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", "goal: X X X x & X X X X y"))
-    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 8)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 8)
     code, out, err = run(capsys, "synthesize", problem)
     assert code == 5
     assert out == "" and err.startswith("resource limit: ")
-    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 10)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 13)
     code, _, _ = run(capsys, "synthesize", problem)
     assert code in (0, 1)
+
+
+def test_the_game_product_is_guarded(tmp_path, capsys, monkeypatch):
+    # under a guard of 12 the goal compiles, its largest product having 10
+    # states, but the product of the assumption with the goal needs 13
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", "goal: X X X x & X X X X y"))
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 12)
+    p = load_problem(problem)
+    compile_formula(p.vt, p.goal)
+    code, out, err = run(capsys, "synthesize", problem)
+    assert code == 5
+    assert out == "" and err == "resource limit: 13 states; explicit constructions stop at 12\n"
 
 
 def test_too_wide_vocabularies_are_refused_before_the_subset_construction(

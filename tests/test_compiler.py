@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from plansynth import compiler
+from plansynth import dfa
 from plansynth.compiler import (
     ObligationNfa,
-    closure,
     compile_formula,
     conjuncts,
     determinize,
@@ -23,7 +22,6 @@ from plansynth.logic import (
     Or,
     conjoin,
     eval_finite,
-    node_count,
     parse_formula,
 )
 
@@ -80,12 +78,6 @@ def test_compilation_commutes_with_connectives():
             assert language_equal(direct, composed), (f, g, name)
 
 
-def test_closure_is_small():
-    assert len(closure(Atom("y"))) <= 3
-    for f in corpus_formulas():
-        assert len(closure(f)) <= 2 * node_count(f) + 2, f
-
-
 def test_minimization_preserves_compiled_language():
     rng = random.Random(33)
     for _ in range(40):
@@ -122,12 +114,12 @@ def test_conjuncts_flatten_both_nestings_and_drop_repeats():
 def test_conjunction_products_pass_the_state_guard(monkeypatch):
     # the conjuncts' automata have 6 and 7 states, their product 10
     f, g = parse_formula("X X X x", XY), parse_formula("X X X X y", XY)
-    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 8)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 8)
     compile_formula(XY, f)
     compile_formula(XY, g)
     with pytest.raises(LimitExceeded):
         compile_formula(XY, And(f, g))
-    monkeypatch.setattr(compiler, "DETERMINIZE_STATE_LIMIT", 10)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 10)
     assert compile_formula(XY, And(f, g)) == monolithic(And(f, g))
 
 

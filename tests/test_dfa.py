@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from plansynth import dfa
+from plansynth.compiler import ObligationNfa, determinize
 from plansynth.dfa import (
     EXPLICIT_VAR_LIMIT,
     Dfa,
@@ -17,9 +19,10 @@ from plansynth.dfa import (
     run_dfa,
 )
 from plansynth.errors import LimitExceeded, VocabularyMismatch
-from plansynth.logic import VarTable
+from plansynth.logic import VarTable, parse_formula
+from plansynth.parity import dpw_combine
 
-from helpers import XY, all_traces, oracle_minimize, random_dfa
+from helpers import XY, all_traces, oracle_minimize, random_dfa, random_dpw
 
 
 def permute_states(m: Dfa, perm: list[int]) -> Dfa:
@@ -250,3 +253,24 @@ def test_variable_limit():
         dfa_true(big)
     exactly = VarTable(tuple(f"e{i}" for i in range(EXPLICIT_VAR_LIMIT)), ())
     assert dfa_true(exactly).n_states == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: determinize(ObligationNfa(XY, parse_formula("X X X x & F y", XY))),
+        lambda: combine(random_dfa(random.Random(7), XY), random_dfa(random.Random(8), XY), "and"),
+        lambda: dpw_combine(random_dpw(random.Random(7), XY), random_dpw(random.Random(8), XY),
+                            "or"),
+    ],
+    ids=["determinize", "combine", "dpw_combine"],
+)
+def test_every_construction_stops_at_the_one_state_guard(build, monkeypatch):
+    m = build()
+    n = m.n_states
+    assert n > 2
+    monkeypatch.setattr(dfa, "STATE_LIMIT", n - 1)
+    with pytest.raises(LimitExceeded, match=f"^{n} states; explicit constructions stop at {n - 1}$"):
+        build()
+    monkeypatch.setattr(dfa, "STATE_LIMIT", n)
+    assert build() == m

@@ -1,13 +1,14 @@
 """The four interchange file shapes: round trips and rejection messages."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from plansynth.compiler import compile_formula
 from plansynth.dfa import Dfa
 from plansynth.engine import Status, synthesize
-from plansynth.errors import ParseError
+from plansynth.errors import LimitExceeded, ParseError
 from plansynth.formats import (
     format_automaton,
     format_domain,
@@ -110,6 +111,28 @@ def test_automaton_rejections():
     rejects(parse_automaton, good + "0 00 1\n", "duplicate transition")
     dropped = "\n".join(good.splitlines()[:-1]) + "\n"
     rejects(parse_automaton, dropped, "missing transition")
+
+
+def test_automaton_too_wide_for_an_explicit_alphabet_is_refused_first():
+    wide = " ".join(f"e{i}" for i in range(20)) + " | " + " ".join(f"a{i}" for i in range(20))
+    with pytest.raises(LimitExceeded, match="^40 variables; explicit alphabets stop at 16$"):
+        parse_automaton(f"vars: {wide}\nstates: 1\ninitial: 0\nfinals:\n")
+
+
+def test_automaton_declaring_more_transitions_than_it_writes_costs_its_length():
+    # 3000 states over 16 variables declare 3000 * 2^16 transitions, none given
+    wide = " ".join(f"e{i}" for i in range(8)) + " | " + " ".join(f"a{i}" for i in range(8))
+    text = f"vars: {wide}\nstates: 3000\ninitial: 0\nfinals:\n"
+    tracemalloc.start()
+    try:
+        rejects(parse_automaton, text, "missing transition from 0 on " + "0" * 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the first missing transition is found past the ones written
+    rows = "".join(f"0 {format(sym, '016b')[::-1]} 0\n" for sym in range(5))
+    rejects(parse_automaton, text + rows, "missing transition from 0 on 1010000000000000")
 
 
 def test_automaton_acceptance_headers_are_exclusive():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from plansynth import dfa
 from plansynth.errors import LimitExceeded, VocabularyMismatch
 from plansynth.logic import VarTable
 from plansynth.parity import (
@@ -127,17 +128,30 @@ def test_combine_state_bound():
         assert product.n_states <= m1.n_states * m2.n_states * d * math.factorial(d)
 
 
-def test_combine_guards():
+def test_combine_guards(monkeypatch):
     other = VarTable(("y",), ("z",))
     with pytest.raises(VocabularyMismatch):
         dpw_combine(random_dpw(random.Random(0), XY, 3),
                     random_dpw(random.Random(0), other, 3), "and")
-    # five distinct alternating colors on each side: ten tagged colors
+    # five distinct alternating colors on each side: ten tagged colors, which
+    # take no guard of their own as long as the product fits under the states'
     row = (0, 1, 2, 3)
     wide = Dpw(XY, (row, (1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2)),
                0, (0, 1, 2, 3, 4))
+    twin = Dpw(XY, wide.transitions, 0, (4, 3, 2, 1, 0))
+    ops = {"and": lambda a, b: a and b, "or": lambda a, b: a or b,
+           "implies": lambda a, b: not a or b}
+    products = {name: dpw_combine(wide, twin, name) for name in ops}
+    rng = random.Random(56)
+    for _ in range(60):
+        prefix, loop = random_lasso(rng, XY, 4, 6)
+        a = accepts_lasso(wide, prefix, loop)
+        b = accepts_lasso(twin, prefix, loop)
+        for name, op in ops.items():
+            assert accepts_lasso(products[name], prefix, loop) == op(a, b), name
+    monkeypatch.setattr(dfa, "STATE_LIMIT", products["or"].n_states - 1)
     with pytest.raises(LimitExceeded):
-        dpw_combine(wide, wide, "or")
+        dpw_combine(wide, twin, "or")
 
 
 # --- game solving ----------------------------------------------------------------
