@@ -73,7 +73,6 @@ from .formats import (
 )
 from .logic import (
     VarTable,
-    eval_finite,
     format_formula,
     parse_formula,
     to_nnf,

@@ -5,8 +5,8 @@ machine-readable report of ``key: value`` lines.  Exit codes are uniform:
 0 valid/realizable/accepted, 1 unrealizable or rejected, 2 invalid
 assumption, 3 parse or validation failure, 4 requests the engine
 recognizes but does not solve, 5 resource limit: an alphabet of more than
-`dfa.EXPLICIT_VAR_LIMIT` variables, an explicit construction past the one
-state guard `dfa.STATE_LIMIT`, or a formula nested too deeply to process.
+`dfa.EXPLICIT_VAR_LIMIT` variables or a construction past the state guard
+`dfa.STATE_LIMIT`.  No code recurses on formulas, so depth is no limit.
 """
 
 from __future__ import annotations

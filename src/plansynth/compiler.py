@@ -18,9 +18,14 @@ identity, and repeated conjuncts drop out of the chain for free.
 An obligation set steps through a symbol by unfolding each obligation one
 position: literals are checked against the symbol, X and WX defer their
 operand, and U/R/F/G unfold into their now-or-next expansions.  A set can
-close at a symbol when every obligation is satisfied by the one-position
-trace made of that symbol alone, which is exactly the strong/weak distinction
-at the end of a trace.
+close at a symbol when every obligation holds on the one-position trace made
+of that symbol alone, which is exactly the strong/weak distinction at the end
+of a trace.
+
+Every obligation is a node of the formula's normal form.  Loops over those
+nodes, children first, fill each table: their truth tables at the last
+position of a trace, their truth with no positions left, and per symbol
+their next-position choices.  Nothing here recurses on the formula.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from .logic import (
     VarTable,
     WeakNext,
     atom_names,
-    eval_finite,
     is_nnf,
+    last_position_tables,
     to_nnf,
 )
 
@@ -82,6 +87,7 @@ class ObligationNfa:
     formula: Formula
     nnf: Formula = field(init=False)
     initial: frozenset[Formula] | None = field(init=False)
+    empty_ok: bool = field(init=False)
 
     def __post_init__(self):
         undeclared = atom_names(self.formula) - set(self.vt.all_vars)
@@ -90,95 +96,65 @@ class ObligationNfa:
         self.nnf = to_nnf(self.formula)
         assert is_nnf(self.nnf)
         self.initial = _obligation(self.nnf)
-        self._moves_memo: dict[tuple[Formula, int], tuple[frozenset[Formula], ...]] = {}
-        self._end_memo: dict[tuple[Formula, int], bool] = {}
+        # each node, children first -> the symbols at which it can end a trace
+        self._end = last_position_tables(self.nnf, self.vt.all_vars)
+        # truth with no positions left, by convention: literals and the strong
+        # X, U, F fail, WX, R, G hold.  It only sets the acceptance flag of the
+        # initial subset state, which no non-empty word observes.
+        ok: dict[Formula, bool] = {}
+        for g in self._end:
+            if isinstance(g, And):
+                ok[g] = ok[g.left] and ok[g.right]
+            elif isinstance(g, Or):
+                ok[g] = ok[g.left] or ok[g.right]
+            else:
+                ok[g] = isinstance(g, (TrueConst, WeakNext, Release, Always))
+        self.empty_ok = ok[self.nnf]
+        self._moves: dict[int, dict[Formula, tuple[frozenset[Formula], ...]]] = {}
 
-    def _moves(self, g: Formula, sym: int) -> tuple[frozenset[Formula], ...]:
-        """Choices of next-position obligations, assuming the word continues."""
-        key = (g, sym)
-        cached = self._moves_memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(g, TrueConst):
-            out: tuple[frozenset[Formula], ...] = (frozenset(),)
-        elif isinstance(g, FalseConst):
-            out = ()
-        elif isinstance(g, Atom):
-            out = (frozenset(),) if sym >> self.vt.bit(g.name) & 1 else ()
-        elif isinstance(g, Not):
-            assert isinstance(g.operand, Atom)
-            out = () if sym >> self.vt.bit(g.operand.name) & 1 else (frozenset(),)
-        elif isinstance(g, (Next, WeakNext)):
-            ob = _obligation(g.operand)
-            out = () if ob is None else (ob,)
-        elif isinstance(g, And):
-            out = _antichain(
-                a | b for a in self._moves(g.left, sym) for b in self._moves(g.right, sym)
-            )
-        elif isinstance(g, Or):
-            out = _antichain(self._moves(g.left, sym) + self._moves(g.right, sym))
-        elif isinstance(g, Until):
-            now = self._moves(g.right, sym)
-            keep = tuple(c | {g} for c in self._moves(g.left, sym))
-            out = _antichain(now + keep)
-        elif isinstance(g, Release):
-            hold = self._moves(g.right, sym)
-            done = self._moves(g.left, sym) + (frozenset({g}),)
-            out = _antichain(a | b for a in hold for b in done)
-        elif isinstance(g, Eventually):
-            out = _antichain(self._moves(g.operand, sym) + (frozenset({g}),))
-        elif isinstance(g, Always):
-            out = _antichain(c | {g} for c in self._moves(g.operand, sym))
-        else:
-            raise TypeError(f"not a normal-form formula: {g!r}")
-        self._moves_memo[key] = out
-        return out
+    def _moves_at(self, sym: int) -> dict[Formula, tuple[frozenset[Formula], ...]]:
+        """Each node's choices of next-position obligations at sym, the word continuing."""
+        if sym in self._moves:
+            return self._moves[sym]
+        moves: dict[Formula, tuple[frozenset[Formula], ...]] = {}
+        for g in self._end:
+            if isinstance(g, (TrueConst, FalseConst, Atom, Not)):
+                out: tuple[frozenset[Formula], ...] = (
+                    (frozenset(),) if self._end[g] >> sym & 1 else ()
+                )
+            elif isinstance(g, (Next, WeakNext)):
+                ob = _obligation(g.operand)
+                out = () if ob is None else (ob,)
+            elif isinstance(g, And):
+                out = _antichain(a | b for a in moves[g.left] for b in moves[g.right])
+            elif isinstance(g, Or):
+                out = _antichain(moves[g.left] + moves[g.right])
+            elif isinstance(g, Until):
+                keep = tuple(c | {g} for c in moves[g.left])
+                out = _antichain(moves[g.right] + keep)
+            elif isinstance(g, Release):
+                done = moves[g.left] + (frozenset({g}),)
+                out = _antichain(a | b for a in moves[g.right] for b in done)
+            elif isinstance(g, Eventually):
+                out = _antichain(moves[g.operand] + (frozenset({g}),))
+            else:  # Always
+                out = _antichain(c | {g} for c in moves[g.operand])
+            moves[g] = out
+        self._moves[sym] = moves
+        return moves
 
     def successors(self, state: frozenset[Formula], sym: int) -> tuple[frozenset[Formula], ...]:
         choices: tuple[frozenset[Formula], ...] = (frozenset(),)
         for g in state:
-            opts = self._moves(g, sym)
+            opts = self._moves_at(sym)[g]
             if not opts:
                 return ()
             choices = _antichain(c | o for c in choices for o in opts)
         return choices
 
-    def _end_ok(self, g: Formula, sym: int) -> bool:
-        key = (g, sym)
-        cached = self._end_memo.get(key)
-        if cached is None:
-            cached = eval_finite(self.vt, g, [sym])
-            self._end_memo[key] = cached
-        return cached
-
     def can_end(self, state: frozenset[Formula], sym: int) -> bool:
         """True when sym may be the final symbol under these obligations."""
-        return all(self._end_ok(g, sym) for g in state)
-
-
-def empty_suffix_ok(f: Formula) -> bool:
-    """Vacuous-truth convention for a formula with no positions left.
-
-    Literals and the strong operators X, U, F fail; WX, R, G hold.  Used only
-    to pick the acceptance flag of the initial subset state, which no
-    non-empty word ever observes.
-    """
-    g = to_nnf(f)
-
-    def go(h: Formula) -> bool:
-        if isinstance(h, TrueConst):
-            return True
-        if isinstance(h, (FalseConst, Atom, Not, Next, Until, Eventually)):
-            return False
-        if isinstance(h, (WeakNext, Release, Always)):
-            return True
-        if isinstance(h, And):
-            return go(h.left) and go(h.right)
-        if isinstance(h, Or):
-            return go(h.left) or go(h.right)
-        raise TypeError(f"not a normal-form formula: {h!r}")
-
-    return go(g)
+        return all(self._end[g] >> sym & 1 for g in state)
 
 
 def determinize(nfa: ObligationNfa) -> Dfa:
@@ -196,7 +172,7 @@ def determinize(nfa: ObligationNfa) -> Dfa:
             yield frozenset(_antichain(nexts)), done
 
     initial_sets = frozenset() if nfa.initial is None else frozenset({nfa.initial})
-    states, rows = explore((initial_sets, empty_suffix_ok(nfa.nnf)), row_of)
+    states, rows = explore((initial_sets, nfa.empty_ok), row_of)
     finals = frozenset(i for i, (_, done) in enumerate(states) if done)
     return Dfa(nfa.vt, rows, 0, finals)
 

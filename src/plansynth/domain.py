@@ -110,13 +110,15 @@ def validate(d: Domain) -> ExplicitDomain:
     """
     vt = d.vt
     check_explicit(vt)
-    n_env, n_agent = vt.n_env, vt.n_agent
+    n_env, n_agent, n_states = vt.n_env, vt.n_agent, vt.n_env_states
     init_mask = truth_table_mask(d.init, vt.env_vars)
     pre_mask = truth_table_mask(d.pre, vt.all_vars)
-    delta_order = vt.all_vars + tuple(VarTable.primed(v) for v in vt.env_vars)
+    # primed fluents first: pair (s, a)'s successors are the |states| bits
+    # of the table from (s | a << n_env)·|states| on
+    delta_order = tuple(VarTable.primed(v) for v in vt.env_vars) + vt.all_vars
     delta_mask = truth_table_mask(d.delta, delta_order)
 
-    init_states = frozenset(s for s in range(vt.n_env_states) if init_mask >> s & 1)
+    init_states = frozenset(s for s in range(n_states) if init_mask >> s & 1)
     if not init_states:
         raise EmptyInitError("no state satisfies init")
 
@@ -124,7 +126,7 @@ def validate(d: Domain) -> ExplicitDomain:
         return s | a << n_env
 
     pre_pairs = set()
-    for s in range(vt.n_env_states):
+    for s in range(n_states):
         available = [a for a in range(vt.n_actions) if pre_mask >> pre_bit(s, a) & 1]
         if not available:
             raise NoAvailableActionError(
@@ -132,14 +134,14 @@ def validate(d: Domain) -> ExplicitDomain:
             )
         pre_pairs.update((s, a) for a in available)
 
+    # the mask as text, bit i at index i, read one contiguous slice per pair
+    bits = format(delta_mask, "b").zfill(n_states << (n_env + n_agent))[::-1]
     delta: dict[tuple[int, int], tuple[int, ...]] = {}
-    for s in range(vt.n_env_states):
+    for s in range(n_states):
         for a in range(vt.n_actions):
-            base = pre_bit(s, a)
+            start = pre_bit(s, a) * n_states
             succ = tuple(
-                t
-                for t in range(vt.n_env_states)
-                if delta_mask >> (base | t << (n_env + n_agent)) & 1
+                t for t, bit in enumerate(bits[start : start + n_states]) if bit == "1"
             )
             if not succ:
                 continue

@@ -3,14 +3,18 @@
 Variables are partitioned into an environment-controlled block and an
 agent-controlled block.  One trace position assigns every variable and is
 encoded as an integer bitmask in vocabulary order, environment variables
-first.  Traces are non-empty sequences of such symbols; `eval_finite` is the
-semantic ground truth against which every automaton construction in this
-package is checked.
+first.  Traces are non-empty sequences of such symbols.  The tests check
+every automaton construction of this package against a direct evaluator of
+these semantics (`eval_finite` in tests/helpers.py).
 
 Temporal operators follow the finite-trace reading: `X` is strong (false at
 the last position), `WX` is weak (true at the last position), `U` requires
 its right argument to hold at some position at or after the current one, and
 `R` is its dual.
+
+No function here recurses on the formula: each loops over `postorder` or
+keeps an explicit stack, so a formula's depth is bounded by memory, not by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -252,6 +256,23 @@ class Always(_Unary):
 TRUE = TrueConst()
 FALSE = FalseConst()
 
+# operator -> (token, precedence, the operator a negation turns it into);
+# unary operators bind tightest, & and | associate to the left, others right
+_OPERATORS = {
+    Implies: ("->", 1, None),
+    Or: ("|", 2, And),
+    And: ("&", 3, Or),
+    Until: ("U", 4, Release),
+    Release: ("R", 4, Until),
+    Not: ("!", 5, None),
+    Next: ("X", 5, WeakNext),
+    WeakNext: ("WX", 5, Next),
+    Eventually: ("F", 5, Always),
+    Always: ("G", 5, Eventually),
+}
+_LEFT_ASSOCIATIVE = (And, Or)
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, _Unary):
         return (f.operand,)
@@ -260,365 +281,291 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in children(f))
+def postorder(f: Formula) -> list[Formula]:
+    """Every distinct node of f once, each after its children, left first.
 
-
-def atom_names(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= atom_names(c)
+    Formulas are hash-consed DAGs: a shared subformula is listed once.
+    """
+    out: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [(f, False)]  # (node, whether its children are listed already)
+    while stack:
+        g, expanded = stack.pop()
+        if g in seen:
+            continue
+        if expanded or not isinstance(g, (_Unary, _Binary)):
+            seen.add(g)
+            out.append(g)
+            continue
+        stack.append((g, True))
+        stack += zip(reversed(children(g)), (False, False))
     return out
 
 
+def node_count(f: Formula) -> int:
+    """Size of f as a tree: a shared subformula counts at each occurrence."""
+    size: dict[Formula, int] = {}
+    for g in postorder(f):
+        size[g] = 1 + sum(size[c] for c in children(g))
+    return size[f]
+
+
+def atom_names(f: Formula) -> frozenset[str]:
+    return frozenset(g.name for g in postorder(f) if isinstance(g, Atom))
+
+
 def is_propositional(f: Formula) -> bool:
-    if isinstance(f, (Next, WeakNext, Until, Release, Eventually, Always)):
-        return False
-    return all(is_propositional(c) for c in children(f))
+    temporal = (Next, WeakNext, Until, Release, Eventually, Always)
+    return not any(isinstance(g, temporal) for g in postorder(f))
+
+
+def _nest(op: type, empty: Formula, parts: Sequence[Formula]) -> Formula:
+    out = parts[-1] if parts else empty
+    for p in reversed(parts[:-1]):
+        out = op(p, out)
+    return out
 
 
 def conjoin(parts: Sequence[Formula]) -> Formula:
     """Right-nested conjunction; the empty conjunction is true."""
-    if not parts:
-        return TRUE
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
+    return _nest(And, TRUE, parts)
 
 
 def disjoin(parts: Sequence[Formula]) -> Formula:
     """Right-nested disjunction; the empty disjunction is false."""
-    if not parts:
-        return FALSE
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    return _nest(Or, FALSE, parts)
 
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|[()&|!]|[A-Za-z_][A-Za-z0-9_]*'?")
+# a token, or any other character where a token should start
+_TOKEN_RE = re.compile(r"\s*(?:(->|[()&|!]|[A-Za-z_][A-Za-z0-9_]*'?)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(2):
+            raise ParseError(f"unexpected character {m.group(2)!r}", m.start(2))
+        tokens.append((m.group(1), m.start(1)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent with precedence !,X,WX,F,G > U,R > & > | > ->.
-
-    -> and U/R associate to the right, & and | to the left.
-    """
-
-    def __init__(self, text: str, vt: VarTable | None, allow_primed: bool):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.vt = vt
-        self.allow_primed = allow_primed
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else -1
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implies()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return f
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.until()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok in ("U", "R"):
-            self.take()
-            right = self.until()
-            return Until(left, right) if tok == "U" else Release(left, right)
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.unary())
-        if tok == "X":
-            self.take()
-            return Next(self.unary())
-        if tok == "WX":
-            self.take()
-            return WeakNext(self.unary())
-        if tok == "F":
-            self.take()
-            return Eventually(self.unary())
-        if tok == "G":
-            self.take()
-            return Always(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        pos = self.pos()
-        tok = self.take()
-        if tok == "(":
-            f = self.implies()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos())
-            self.take()
-            return f
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        base = tok[:-1] if tok.endswith("'") else tok
-        if not _NAME_RE.fullmatch(base) or base in RESERVED_WORDS:
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        if tok.endswith("'"):
-            if not self.allow_primed:
-                raise ParseError(f"primed atom {tok!r} not allowed here", pos)
-            base = tok[:-1]
-            if self.vt is not None and base not in self.vt.env_vars:
-                raise ParseError(f"primed atom over non-environment variable {tok!r}", pos)
-            return Atom(tok)
-        if self.vt is not None and tok not in self.vt.all_vars:
-            raise ParseError(f"undeclared atom {tok!r}", pos)
-        return Atom(tok)
+def _operand(tok: str, pos: int, vt: VarTable | None, allow_primed: bool) -> Formula:
+    """The constant or atom a token stands for, checked against vt."""
+    if tok == "true":
+        return TRUE
+    if tok == "false":
+        return FALSE
+    base = tok[:-1] if tok.endswith("'") else tok
+    if not _NAME_RE.fullmatch(base) or base in RESERVED_WORDS:
+        raise ParseError(f"unexpected token {tok!r}", pos)
+    if tok.endswith("'"):
+        if not allow_primed:
+            raise ParseError(f"primed atom {tok!r} not allowed here", pos)
+        if vt is not None and base not in vt.env_vars:
+            raise ParseError(f"primed atom over non-environment variable {tok!r}", pos)
+    elif vt is not None and tok not in vt.all_vars:
+        raise ParseError(f"undeclared atom {tok!r}", pos)
+    return Atom(tok)
 
 
 def parse_formula(text: str, vt: VarTable | None = None, allow_primed: bool = False) -> Formula:
     """Parse a formula; with a VarTable, atoms must be declared variables.
 
-    Primed atoms (a trailing apostrophe, environment variables only) are
-    accepted only when allow_primed is set, as in domain transition formulas.
+    Precedence, tightest first: ! X WX F G; U R; &; |; ->.  -> and U/R
+    associate to the right, & and | to the left.  Primed atoms (a trailing
+    apostrophe, environment variables only) are accepted only when
+    allow_primed is set, as in domain transition formulas.
+
+    An operator-precedence loop: operands and pending operators wait on two
+    explicit stacks, so nesting depth is bounded by memory only.
     """
-    return _Parser(text, vt, allow_primed).parse()
+    by_token = {tok: cls for cls, (tok, _, _) in _OPERATORS.items()}
+    operands: list[Formula] = []
+    pending: list = []  # operator classes; None marks an open parenthesis
+    depth = 0  # open parentheses
+
+    def reduce(prec: int) -> None:
+        """Apply the pending operators that bind before one of precedence prec."""
+        while pending and pending[-1] is not None:
+            cls = pending[-1]
+            p = _OPERATORS[cls][1]
+            if p < prec or (p == prec and cls not in _LEFT_ASSOCIATIVE):
+                return
+            pending.pop()
+            if issubclass(cls, _Unary):
+                operands.append(cls(operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(cls(operands.pop(), right))
+
+    want_operand = True
+    for tok, pos in [*_tokenize(text), (None, -1)]:
+        cls = by_token.get(tok)
+        if want_operand:
+            if tok is None:
+                raise ParseError("unexpected end of input")
+            if tok == "(":
+                pending.append(None)
+                depth += 1
+            elif cls is not None and issubclass(cls, _Unary):
+                pending.append(cls)
+            else:
+                operands.append(_operand(tok, pos, vt, allow_primed))
+                want_operand = False
+        elif tok == ")" and depth:
+            reduce(0)
+            pending.pop()
+            depth -= 1
+        elif cls is not None and not issubclass(cls, _Unary):
+            reduce(_OPERATORS[cls][1])
+            pending.append(cls)
+            want_operand = True
+        elif depth:
+            raise ParseError("expected ')'", pos)
+        elif tok is not None:
+            raise ParseError(f"trailing input {tok!r}", pos)
+    reduce(0)
+    return operands[0]
 
 
 # --- printing --------------------------------------------------------------
 
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (Until, Release)):
-        return _PREC_UNTIL
-    if isinstance(f, _Unary):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
 
 def format_formula(f: Formula) -> str:
-    """Concrete syntax that parse_formula maps back to the same tree."""
+    """Concrete syntax that parse_formula maps back to the same tree.
 
-    def wrap(g: Formula, level: int, strict: bool) -> str:
-        s = go(g)
-        p = _prec(g)
-        if p < level or (strict and p == level):
-            return f"({s})"
-        return s
-
-    def go(g: Formula) -> str:
-        if isinstance(g, TrueConst):
-            return "true"
-        if isinstance(g, FalseConst):
-            return "false"
-        if isinstance(g, Atom):
-            return g.name
-        if isinstance(g, Not):
-            return "!" + wrap(g.operand, _PREC_UNARY, strict=False)
-        if isinstance(g, Next):
-            return "X " + wrap(g.operand, _PREC_UNARY, strict=False)
-        if isinstance(g, WeakNext):
-            return "WX " + wrap(g.operand, _PREC_UNARY, strict=False)
-        if isinstance(g, Eventually):
-            return "F " + wrap(g.operand, _PREC_UNARY, strict=False)
-        if isinstance(g, Always):
-            return "G " + wrap(g.operand, _PREC_UNARY, strict=False)
-        if isinstance(g, Until):
-            return wrap(g.left, _PREC_UNTIL, True) + " U " + wrap(g.right, _PREC_UNTIL, False)
-        if isinstance(g, Release):
-            return wrap(g.left, _PREC_UNTIL, True) + " R " + wrap(g.right, _PREC_UNTIL, False)
-        if isinstance(g, And):
-            return wrap(g.left, _PREC_AND, False) + " & " + wrap(g.right, _PREC_AND, True)
-        if isinstance(g, Or):
-            return wrap(g.left, _PREC_OR, False) + " | " + wrap(g.right, _PREC_OR, True)
-        if isinstance(g, Implies):
-            return wrap(g.left, _PREC_IMPLIES, True) + " -> " + wrap(g.right, _PREC_IMPLIES, False)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
+    Pieces are written from an explicit stack into one list and joined once.
+    """
+    out: list[str] = []
+    # pieces of text, and (subformula, precedence of its context, whether an
+    # equal precedence needs parentheses)
+    stack: list = [(f, 0, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, level, strict = item
+        if isinstance(g, (Atom, TrueConst, FalseConst)):
+            out.append(g.name if isinstance(g, Atom) else "true" if g is TRUE else "false")
+            continue
+        cls = type(g)
+        if cls not in _OPERATORS:
+            raise TypeError(f"not a formula: {g!r}")
+        tok, prec, _ = _OPERATORS[cls]
+        if isinstance(g, _Unary):
+            parts = [tok if cls is Not else tok + " ", (g.operand, prec, False)]
+        else:
+            right = cls not in _LEFT_ASSOCIATIVE
+            parts = [(g.left, prec, right), f" {tok} ", (g.right, prec, not right)]
+        if prec < level or (strict and prec == level):
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(out)
 
 
-# --- negation normal form --------------------------------------------------
+# --- polarity-aware rewriting ----------------------------------------------
+
+
+def _by_polarity(f: Formula, rebuild) -> Formula:
+    """Rebuild f bottom-up, each node under the polarity it is reached with.
+
+    f is reached positively; Not flips its operand's polarity, Implies its
+    left side's.  ``rebuild(g, positive, parts)`` makes g's result from its
+    children's.  Each reached (node, polarity) pair is rebuilt once.
+    """
+    # done[positive][id(node)]: ids are unique among the nodes f keeps alive
+    done: tuple[dict, dict] = ({}, {})
+    stack = [(f, True, None)]  # (node, polarity, its children once expanded)
+    while stack:
+        g, positive, kids = stack.pop()
+        if id(g) in done[positive]:
+            continue
+        if kids is None:
+            first = positive != isinstance(g, (Not, Implies))
+            kids = tuple(zip(children(g), (first, positive)))
+            if kids:
+                stack.append((g, positive, kids))
+                stack += [(c, p, None) for c, p in kids]
+                continue
+        done[positive][id(g)] = rebuild(g, positive, [done[p][id(c)] for c, p in kids])
+    return done[True][id(f)]
 
 
 def to_nnf(f: Formula) -> Formula:
     """Eliminate implications and push negations down to atoms.
 
-    Negation dualizes the temporal operators: X/WX, U/R and F/G swap.
+    Negation dualizes the operators: &/|, X/WX, U/R and F/G swap.
     """
-    if isinstance(f, (TrueConst, FalseConst, Atom)):
-        return f
-    if isinstance(f, Not):
-        return _neg(f.operand)
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(_neg(f.left), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.operand))
-    if isinstance(f, WeakNext):
-        return WeakNext(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Eventually):
-        return Eventually(to_nnf(f.operand))
-    if isinstance(f, Always):
-        return Always(to_nnf(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
 
+    def rebuild(g: Formula, positive: bool, parts: list[Formula]) -> Formula:
+        cls = type(g)
+        if cls is Not:
+            return parts[0]
+        if cls is Implies:
+            return Or(*parts) if positive else And(*parts)
+        if cls is Atom:
+            return g if positive else Not(g)
+        if cls is TrueConst or cls is FalseConst:
+            return g if positive else (FALSE if cls is TrueConst else TRUE)
+        if cls in _OPERATORS:
+            return (cls if positive else _OPERATORS[cls][2])(*parts)
+        raise TypeError(f"not a formula: {g!r}")
 
-def _neg(f: Formula) -> Formula:
-    if isinstance(f, TrueConst):
-        return FALSE
-    if isinstance(f, FalseConst):
-        return TRUE
-    if isinstance(f, Atom):
-        return Not(f)
-    if isinstance(f, Not):
-        return to_nnf(f.operand)
-    if isinstance(f, And):
-        return Or(_neg(f.left), _neg(f.right))
-    if isinstance(f, Or):
-        return And(_neg(f.left), _neg(f.right))
-    if isinstance(f, Implies):
-        return And(to_nnf(f.left), _neg(f.right))
-    if isinstance(f, Next):
-        return WeakNext(_neg(f.operand))
-    if isinstance(f, WeakNext):
-        return Next(_neg(f.operand))
-    if isinstance(f, Until):
-        return Release(_neg(f.left), _neg(f.right))
-    if isinstance(f, Release):
-        return Until(_neg(f.left), _neg(f.right))
-    if isinstance(f, Eventually):
-        return Always(_neg(f.operand))
-    if isinstance(f, Always):
-        return Eventually(_neg(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
+    return _by_polarity(f, rebuild)
 
 
 def is_nnf(f: Formula) -> bool:
-    if isinstance(f, Not):
-        return isinstance(f.operand, Atom)
-    if isinstance(f, Implies):
-        return False
-    return all(is_nnf(c) for c in children(f))
+    return not any(
+        isinstance(g, Implies) or (isinstance(g, Not) and not isinstance(g.operand, Atom))
+        for g in postorder(f)
+    )
 
 
-# --- evaluation ------------------------------------------------------------
+# --- truth tables ----------------------------------------------------------
 
 
-def eval_finite(vt: VarTable, f: Formula, trace: Sequence[int], pos: int = 0) -> bool:
-    """Satisfaction of f on a non-empty finite trace at a position."""
-    if len(trace) == 0:
-        raise ValueError("traces are non-empty")
-    if not 0 <= pos < len(trace):
-        raise ValueError(f"position {pos} outside trace of length {len(trace)}")
-    last = len(trace) - 1
+def last_position_tables(f: Formula, order: Sequence[str]) -> dict[Formula, int]:
+    """Truth table of every node of f at the last position of a trace.
 
-    def ev(g: Formula, n: int) -> bool:
-        if isinstance(g, TrueConst):
-            return True
-        if isinstance(g, FalseConst):
-            return False
+    Bit i of a node's table is its value on the one-position trace of symbol
+    i, order[j] being bit j of i: X fails there, WX holds, U and R reduce to
+    their right sides and F and G to their operands, so a propositional node
+    gets its ordinary truth table.  The keys are in post-order.
+    """
+    total = 1 << len(order)
+    full = (1 << total) - 1
+    value: dict[Formula, int] = {}
+    for g in postorder(f):
         if isinstance(g, Atom):
-            return bool(trace[n] >> vt.bit(g.name) & 1)
-        if isinstance(g, Not):
-            return not ev(g.operand, n)
-        if isinstance(g, And):
-            return ev(g.left, n) and ev(g.right, n)
-        if isinstance(g, Or):
-            return ev(g.left, n) or ev(g.right, n)
-        if isinstance(g, Implies):
-            return not ev(g.left, n) or ev(g.right, n)
-        if isinstance(g, Next):
-            return n < last and ev(g.operand, n + 1)
-        if isinstance(g, WeakNext):
-            return n == last or ev(g.operand, n + 1)
-        if isinstance(g, Until):
-            for i in range(n, last + 1):
-                if ev(g.right, i):
-                    return True
-                if not ev(g.left, i):
-                    return False
-            return False
-        if isinstance(g, Release):
-            for i in range(n, last + 1):
-                if not ev(g.right, i):
-                    return False
-                if ev(g.left, i):
-                    return True
-            return True
-        if isinstance(g, Eventually):
-            return any(ev(g.operand, i) for i in range(n, last + 1))
-        if isinstance(g, Always):
-            return all(ev(g.operand, i) for i in range(n, last + 1))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f, pos)
+            if g.name not in order:
+                raise VocabularyMismatch(f"unknown variable: {g.name!r}")
+            # 2^j zeros then 2^j ones, repeated by doubling
+            half = 1 << order.index(g.name)
+            v, width = ((1 << half) - 1) << half, 2 * half
+            while width < total:
+                v |= v << width
+                width *= 2
+        elif isinstance(g, (TrueConst, WeakNext)):
+            v = full
+        elif isinstance(g, (FalseConst, Next)):
+            v = 0
+        elif isinstance(g, Not):
+            v = full ^ value[g.operand]
+        elif isinstance(g, And):
+            v = value[g.left] & value[g.right]
+        elif isinstance(g, Or):
+            v = value[g.left] | value[g.right]
+        elif isinstance(g, Implies):
+            v = (full ^ value[g.left]) | value[g.right]
+        elif isinstance(g, (Until, Release, Eventually, Always)):
+            v = value[children(g)[-1]]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        value[g] = v
+    return value
 
 
 def truth_table_mask(f: Formula, order: Sequence[str]) -> int:
@@ -628,40 +575,9 @@ def truth_table_mask(f: Formula, order: Sequence[str]) -> int:
     order[j] is true iff bit j of i is set.  Assignment indices therefore
     coincide with joint-symbol encodings when order is the VarTable order.
     """
-    n = len(order)
-    total = 1 << n
-    full = (1 << total) - 1
-    masks = {}
-    for j, name in enumerate(order):
-        half = 1 << j
-        period = 2 * half
-        unit = ((1 << half) - 1) << half
-        m = 0
-        for start in range(0, total, period):
-            m |= unit << start
-        masks[name] = m
-
-    def go(g: Formula) -> int:
-        if isinstance(g, TrueConst):
-            return full
-        if isinstance(g, FalseConst):
-            return 0
-        if isinstance(g, Atom):
-            try:
-                return masks[g.name]
-            except KeyError:
-                raise VocabularyMismatch(f"unknown variable: {g.name!r}") from None
-        if isinstance(g, Not):
-            return full ^ go(g.operand)
-        if isinstance(g, And):
-            return go(g.left) & go(g.right)
-        if isinstance(g, Or):
-            return go(g.left) | go(g.right)
-        if isinstance(g, Implies):
-            return (full ^ go(g.left)) | go(g.right)
-        raise ValueError(f"not propositional: {g!r}")
-
-    return go(f)
+    if not is_propositional(f):
+        raise ValueError(f"not propositional: {f!r}")
+    return last_position_tables(f, order)[f]
 
 
 # --- primed-variable elimination -------------------------------------------
@@ -682,7 +598,7 @@ def prime_to_next(f: Formula, weak: bool, vt: VarTable | None = None) -> Formula
     untouched.
     """
 
-    def go(g: Formula, positive: bool) -> Formula:
+    def rebuild(g: Formula, positive: bool, parts: list[Formula]) -> Formula:
         if isinstance(g, Atom):
             if not g.name.endswith("'"):
                 return g
@@ -693,14 +609,8 @@ def prime_to_next(f: Formula, weak: bool, vt: VarTable | None = None) -> Formula
             return op(Atom(base))
         if isinstance(g, (TrueConst, FalseConst)):
             return g
-        if isinstance(g, Not):
-            return Not(go(g.operand, not positive))
-        if isinstance(g, And):
-            return And(go(g.left, positive), go(g.right, positive))
-        if isinstance(g, Or):
-            return Or(go(g.left, positive), go(g.right, positive))
-        if isinstance(g, Implies):
-            return Implies(go(g.left, not positive), go(g.right, positive))
+        if isinstance(g, (Not, And, Or, Implies)):
+            return type(g)(*parts)
         raise ValueError(f"transition formulas are propositional: {g!r}")
 
-    return go(f, True)
+    return _by_polarity(f, rebuild)

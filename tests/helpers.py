@@ -10,6 +10,7 @@ domains) whose own correctness is established by separate exhaustive tests.
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 from plansynth.compiler import compile_formula
 from plansynth.dfa import Dfa
@@ -22,11 +23,14 @@ from plansynth.logic import (
     Atom,
     Always,
     Eventually,
+    FalseConst,
     Formula,
+    Implies,
     Next,
     Not,
     Or,
     Release,
+    TrueConst,
     Until,
     VarTable,
     WeakNext,
@@ -300,6 +304,59 @@ def random_formula(rng, vt: VarTable, depth: int) -> Formula:
         return ctor(random_formula(rng, vt, depth - 1))
     ctor = (And, Or, Until, Release, Until)[shape - 5]
     return ctor(random_formula(rng, vt, depth - 1), random_formula(rng, vt, depth - 1))
+
+
+# --- finite-trace semantics ---------------------------------------------------
+
+
+def eval_finite(vt: VarTable, f: Formula, trace: Sequence[int], pos: int = 0) -> bool:
+    """Satisfaction of f on a non-empty finite trace at a position."""
+    if len(trace) == 0:
+        raise ValueError("traces are non-empty")
+    if not 0 <= pos < len(trace):
+        raise ValueError(f"position {pos} outside trace of length {len(trace)}")
+    last = len(trace) - 1
+
+    def ev(g: Formula, n: int) -> bool:
+        if isinstance(g, TrueConst):
+            return True
+        if isinstance(g, FalseConst):
+            return False
+        if isinstance(g, Atom):
+            return bool(trace[n] >> vt.bit(g.name) & 1)
+        if isinstance(g, Not):
+            return not ev(g.operand, n)
+        if isinstance(g, And):
+            return ev(g.left, n) and ev(g.right, n)
+        if isinstance(g, Or):
+            return ev(g.left, n) or ev(g.right, n)
+        if isinstance(g, Implies):
+            return not ev(g.left, n) or ev(g.right, n)
+        if isinstance(g, Next):
+            return n < last and ev(g.operand, n + 1)
+        if isinstance(g, WeakNext):
+            return n == last or ev(g.operand, n + 1)
+        if isinstance(g, Until):
+            for i in range(n, last + 1):
+                if ev(g.right, i):
+                    return True
+                if not ev(g.left, i):
+                    return False
+            return False
+        if isinstance(g, Release):
+            for i in range(n, last + 1):
+                if not ev(g.right, i):
+                    return False
+                if ev(g.left, i):
+                    return True
+            return True
+        if isinstance(g, Eventually):
+            return any(ev(g.operand, i) for i in range(n, last + 1))
+        if isinstance(g, Always):
+            return all(ev(g.operand, i) for i in range(n, last + 1))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return ev(f, pos)
 
 
 # --- random domains and their direct semantics --------------------------------

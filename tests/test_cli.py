@@ -413,12 +413,29 @@ def test_too_wide_vocabularies_are_refused_before_the_subset_construction(
     assert out == "" and err == "resource limit: 17 variables; explicit alphabets stop at 16\n"
 
 
-def test_too_deep_nesting_is_a_resource_limit(tmp_path, capsys):
+def test_deep_nesting_gets_a_verdict(tmp_path, capsys):
     goal = "X " * 1500 + "x"
     problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", f"goal: {goal}"))
     code, out, err = run(capsys, "synthesize", problem)
-    assert code == 5
-    assert out == "" and err == "resource limit: formula nested too deeply\n"
+    assert code == 0 and err == ""
+    assert out.startswith("status: realizable\n")
+
+
+def test_wide_goals_and_domains_get_a_verdict(tmp_path, capsys):
+    goal = " | ".join(["y & x", "!y & !x"] * 2500)
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("goal: y -> !x", f"goal: {goal}"))
+    code, out, err = run(capsys, "synthesize", problem)
+    assert code == 0 and err == ""
+    assert out.startswith("status: realizable\n")
+
+    # every clause holds when both fluents become true
+    clauses = ["(a0 & p0 -> p1')", "(p1 -> p0' | p1')", "(!a0 -> !p0' | p1')", "(p0 & !p1 -> p1')"]
+    trans = " & ".join(clauses * 500)
+    text = f"env: p0 p1\nagent: a0\ninit: true\npre: true\ntrans: {trans}\n"
+    domain = write(tmp_path, "d.txt", text)
+    code, out, err = run(capsys, "compile-domain", domain, "--to", "dfa")
+    assert code == 0 and err == ""
+    assert out.startswith("vars: p0 p1 | a0\n")
 
 
 # --- one compile per command --------------------------------------------------

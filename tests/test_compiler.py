@@ -10,7 +10,6 @@ from plansynth.compiler import (
     compile_formula,
     conjuncts,
     determinize,
-    empty_suffix_ok,
 )
 from plansynth.dfa import accepts, combine, dfa_true, language_equal, minimize
 from plansynth.errors import LimitExceeded, VocabularyMismatch
@@ -21,11 +20,10 @@ from plansynth.logic import (
     Implies,
     Or,
     conjoin,
-    eval_finite,
     parse_formula,
 )
 
-from helpers import XY, all_traces, corpus_formulas, random_formula
+from helpers import XY, all_traces, corpus_formulas, eval_finite, random_formula
 
 
 def assert_matches_semantics(f, traces):
@@ -145,7 +143,7 @@ def test_empty_suffix_convention():
         "F y | G x": True,
     }
     for text, expected in cases.items():
-        assert empty_suffix_ok(parse_formula(text, XY)) == expected, text
+        assert ObligationNfa(XY, parse_formula(text, XY)).empty_ok == expected, text
 
 
 def test_weak_next_at_trace_end():

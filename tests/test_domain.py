@@ -32,13 +32,12 @@ from plansynth.logic import (
     Implies,
     VarTable,
     atom_names,
-    eval_finite,
     node_count,
     parse_formula,
 )
 from plansynth.parity import accepts_lasso
 
-from helpers import all_traces, domain_consistent, random_domain, random_lasso
+from helpers import all_traces, domain_consistent, eval_finite, random_domain, random_lasso
 
 PM = VarTable(("p",), ("m",))
 

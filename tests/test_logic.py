@@ -2,10 +2,13 @@
 
 import copy
 import pickle
+import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from plansynth.compiler import ObligationNfa
 from plansynth.errors import ParseError, VocabularyMismatch
 from plansynth.logic import (
     FALSE,
@@ -22,7 +25,8 @@ from plansynth.logic import (
     Until,
     VarTable,
     WeakNext,
-    eval_finite,
+    atom_names,
+    conjoin,
     format_formula,
     is_nnf,
     is_propositional,
@@ -33,7 +37,7 @@ from plansynth.logic import (
     truth_table_mask,
 )
 
-from helpers import XY, all_traces, corpus_formulas, random_formula
+from helpers import XY, all_traces, corpus_formulas, eval_finite, random_formula
 
 import random
 
@@ -119,18 +123,30 @@ def test_parse_format_round_trip_random():
         assert parse_formula(format_formula(f), XY) == f
 
 
+PARSE_ERRORS = [
+    ("y -> ->", "unexpected token '->' (at position 5)"),
+    ("z", "undeclared atom 'z' (at position 0)"),
+    ("(y", "expected ')' (at position -1)"),
+    ("", "unexpected end of input"),
+    ("y @ x", "unexpected character '@' (at position 2)"),
+    ("(y x)", "expected ')' (at position 3)"),
+    ("y )", "trailing input ')' (at position 2)"),
+    ("y x", "trailing input 'x' (at position 2)"),
+    ("X", "unexpected end of input"),
+    ("U y", "unexpected token 'U' (at position 0)"),
+    ("(y & !)", "unexpected token ')' (at position 6)"),
+    ("((y) | x", "expected ')' (at position -1)"),
+    ("G (y R x) U", "unexpected end of input"),
+    ("y & x'", "primed atom \"x'\" not allowed here (at position 4)"),
+    ("true'", "unexpected token \"true'\" (at position 0)"),
+]
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as err:
-        parse_formula("y -> ->", XY)
-    assert err.value.position == 5
-    with pytest.raises(ParseError):
-        parse_formula("z", XY)
-    with pytest.raises(ParseError):
-        parse_formula("(y", XY)
-    with pytest.raises(ParseError):
-        parse_formula("", XY)
-    with pytest.raises(ParseError):
-        parse_formula("y @ x", XY)
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, XY)
+        assert str(err.value) == message, text
 
 
 def test_primed_atoms_gated():
@@ -215,6 +231,14 @@ def test_truth_table_mask_orders():
     assert truth_table_mask(FALSE, ()) == 0
 
 
+def test_truth_tables_of_variables():
+    for n in range(7):
+        order = tuple(f"v{j}" for j in range(n))
+        for j, name in enumerate(order):
+            table = sum(1 << i for i in range(1 << n) if i >> j & 1)
+            assert truth_table_mask(Atom(name), order) == table
+
+
 def test_is_propositional():
     assert is_propositional(parse_formula("y & (x | !y)", XY))
     assert not is_propositional(parse_formula("G y", XY))
@@ -287,3 +311,43 @@ def test_deep_formula_builds_hashes_and_compares_without_recursion():
     assert f is g and f == g and hash(f) == hash(g)
     assert {f: 1}[g] == 1
     assert f != Next(f) and f.operand is not f
+
+
+# --- depth ---------------------------------------------------------------------
+
+DEPTH = 5000
+
+# each nests DEPTH levels; | and & nest to the left, the others to the right
+DEEP_TEXTS = {
+    "X": "X " * DEPTH + "y",
+    "!": "!" * DEPTH + "y",
+    "F": "F " * DEPTH + "y",
+    "U": "y U " * DEPTH + "x",
+    "->": "y -> " * DEPTH + "x",
+    "|": "y" + " | x" * DEPTH,
+    "&": "y" + " & x" * DEPTH,
+    "()": "y & (" * DEPTH + "x" + ")" * DEPTH,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TEXTS))
+def test_deep_chains_are_walked_without_recursion(name):
+    limit = sys.getrecursionlimit()
+    f = parse_formula(DEEP_TEXTS[name], XY)
+    assert parse_formula(format_formula(f), XY) is f
+    g = to_nnf(f)
+    assert is_nnf(g) and is_nnf(f) == (name not in ("!", "->"))
+    assert atom_names(f) == atom_names(g) == ({"y"} if name in "X!F" else {"x", "y"})
+    assert node_count(f) == (DEPTH + 1 if name in "X!F" else 2 * DEPTH + 1)
+    assert ObligationNfa(XY, f).nnf is g
+    assert sys.getrecursionlimit() == limit
+
+
+def test_printing_is_linear_in_the_output():
+    f = conjoin([Always(Eventually(Atom(f"p{i}"))) for i in range(40_000)])
+    start = time.perf_counter()
+    text = format_formula(f)
+    assert time.perf_counter() - start < 1.0
+    # conjoin nests to the right and & associates to the left
+    assert text.startswith("G F p0 & (G F p1 & (G F p2 & ")
+    assert text.endswith("G F p39999" + ")" * 39_998) and text.count(" & ") == 39_999
