@@ -50,14 +50,7 @@ from .errors import (
     UnsupportedFeature,
     VocabularyMismatch,
 )
-from .games import (
-    AgentStrategy,
-    EnvStrategy,
-    Region,
-    agent_realizable,
-    env_realizable,
-    play,
-)
+from .games import AgentStrategy, EnvStrategy, agent_realizable, env_realizable, play
 from .formats import (
     format_automaton,
     format_domain,

@@ -12,6 +12,7 @@ recognizes but does not solve, 5 resource limit: an alphabet of more than
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -143,6 +144,7 @@ def _cmd_compile_formula(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plansynth",

@@ -2,9 +2,10 @@
 
 The alphabet is always the full set of joint symbols of a VarTable, kept
 explicit; vocabularies beyond 16 variables are rejected up front, and every
-explicit construction stops at STATE_LIMIT states (see `explore`).  Words are
-finite symbol sequences, and the empty word is uniformly not accepted by
-`accepts`.  Language comparisons are therefore made over non-empty words.
+explicit construction stops at STATE_LIMIT states (see `check_states`).
+Words are finite symbol sequences, and the empty word is uniformly not
+accepted by `accepts`.  Language comparisons are therefore made over
+non-empty words.
 """
 
 from __future__ import annotations
@@ -50,14 +51,20 @@ def check_explicit(vt: VarTable, transitions=None, initial: int = 0) -> int:
     return n
 
 
+def check_states(count: int) -> None:
+    """The one state guard: past STATE_LIMIT states, LimitExceeded is raised."""
+    if count > STATE_LIMIT:
+        raise LimitExceeded(f"{count} states; explicit constructions stop at {STATE_LIMIT}")
+
+
 def explore(start, row_of) -> tuple[list, list[tuple[int, ...]]]:
     """Number the states reachable from start breadth first.
 
     ``row_of(state)`` gives the successors of a state in symbol order.
     Returns (states, rows): start is numbered 0, ``states[i]`` is the state
     numbered i and ``rows[i]`` the numbers of its successors.  Every explicit
-    construction numbers its states here, so one guard bounds them all:
-    past STATE_LIMIT states, LimitExceeded is raised.
+    construction numbers its states here, so the one guard (`check_states`)
+    bounds them all.
     """
     index = {start: 0}
     states = [start]
@@ -68,10 +75,8 @@ def explore(start, row_of) -> tuple[list, list[tuple[int, ...]]]:
             i = index.get(target)
             if i is None:
                 i = index[target] = len(states)
-                if i >= STATE_LIMIT:
-                    raise LimitExceeded(
-                        f"{i + 1} states; explicit constructions stop at {STATE_LIMIT}"
-                    )
+                if i >= STATE_LIMIT:  # compared here first: the loop is hot
+                    check_states(i + 1)
                 states.append(target)
             row.append(i)
         rows.append(tuple(row))
@@ -206,32 +211,20 @@ def _coarsest_partition(trans: list[list[int]], finals: list[bool]) -> list[int]
 def minimize(m: Dfa) -> Dfa:
     """Minimal DFA for the same language, in a canonical state numbering.
 
-    Trims unreachable states, merges equivalent states (Hopcroft's
-    partition refinement), then renumbers the classes in breadth-first symbol
-    order, so isomorphic inputs produce identical outputs.
+    Merges equivalent states of the whole table (Hopcroft's partition
+    refinement), then numbers the classes reachable from the initial one in
+    breadth-first symbol order, so isomorphic inputs produce identical
+    outputs.  Unreachable states need no trim: an equivalent state has the
+    same successor classes and finality whether it is reachable or not.
     """
-    reach = [m.initial]
-    seen = {m.initial}
-    for q in reach:
-        fresh = set(m.transitions[q]).difference(seen)
-        if fresh:
-            seen |= fresh
-            reach.extend(fresh)
-    if len(reach) == m.n_states:
-        trans, initial = m.transitions, m.initial
-        finals = [q in m.finals for q in range(m.n_states)]
-    else:
-        remap = {q: i for i, q in enumerate(reach)}
-        trans = [tuple(map(remap.__getitem__, m.transitions[q])) for q in reach]
-        finals = [q in m.finals for q in reach]
-        initial = 0
-
+    trans = m.transitions
+    finals = [q in m.finals for q in range(m.n_states)]
     block = _coarsest_partition(trans, finals)
     rep = {}
     for q, b in enumerate(block):
         rep.setdefault(b, q)
     # the numbering depends on the classes alone, not on the order above
-    classes, table = explore(block[initial], lambda b: map(block.__getitem__, trans[rep[b]]))
+    classes, table = explore(block[m.initial], lambda b: map(block.__getitem__, trans[rep[b]]))
     new_finals = frozenset(i for i, b in enumerate(classes) if finals[rep[b]])
     return Dfa(m.vt, table, 0, new_finals)
 

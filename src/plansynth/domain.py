@@ -122,12 +122,9 @@ def validate(d: Domain) -> ExplicitDomain:
     if not init_states:
         raise EmptyInitError("no state satisfies init")
 
-    def pre_bit(s: int, a: int) -> int:
-        return s | a << n_env
-
     pre_pairs = set()
     for s in range(n_states):
-        available = [a for a in range(vt.n_actions) if pre_mask >> pre_bit(s, a) & 1]
+        available = [a for a in range(vt.n_actions) if pre_mask >> vt.joint(s, a) & 1]
         if not available:
             raise NoAvailableActionError(
                 f"state {vt.format_bits(s, n_env)} has no available action"
@@ -139,7 +136,7 @@ def validate(d: Domain) -> ExplicitDomain:
     delta: dict[tuple[int, int], tuple[int, ...]] = {}
     for s in range(n_states):
         for a in range(vt.n_actions):
-            start = pre_bit(s, a) * n_states
+            start = vt.joint(s, a) * n_states
             succ = tuple(
                 t for t, bit in enumerate(bits[start : start + n_states]) if bit == "1"
             )
@@ -173,7 +170,7 @@ def env_behavior_ltlf(d: Domain) -> Formula:
     on.  The node count stays within five times the domain size.
     """
     validate(d)
-    stepped = prime_to_next(d.delta, weak=True, vt=d.vt)
+    stepped = prime_to_next(d.delta)
     return And(d.init, Or(Always(stepped), Until(stepped, Not(d.pre))))
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 
 from .compiler import compile_formula
-from .dfa import Dfa, combine, minimize
+from .dfa import Dfa, check_states, combine, minimize
 from .domain import (
     Domain,
     env_behavior_dfa,
@@ -195,8 +195,8 @@ def solve(p: Problem) -> Verdict:
         return Verdict(Status.INVALID_ASSUMPTION, None, diagnostics, c)
     diagnostics["game_states"] = c.game.n_states
     if c.finite:
-        realizable, region, strategy = agent_realizable(c.game)
-        diagnostics["game_iterations"] = max(region.ranks.values(), default=0)
+        realizable, ranks, strategy = agent_realizable(c.game)
+        diagnostics["game_iterations"] = max(ranks.values(), default=0)
     else:
         diagnostics["game_colors"] = len(set(c.game.colors))
         realizable, strategy = dpw_agent_realizable(c.game)
@@ -274,7 +274,8 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     # with an explicit stack: one frame per node on the current path, holding
     # the node and an iterator over its remaining moves; `path` holds the
     # (move, symbol) steps that led to the top frame.  A node is settled once
-    # every play from it is known to end well.
+    # every play from it is known to end well; the settled and on-path nodes
+    # count against the one state guard.
     start = (s.initial, assumption.initial, goal.initial, True)
     stack = [(start, safe_moves(assumption, good, start[1]))]
     path: list[tuple[int, int]] = []
@@ -298,6 +299,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
             if nxt in settled:
                 continue
             on_path.add(nxt)
+            check_states(len(on_path) + len(settled))
             path.append((e, sym))
             stack.append((nxt, safe_moves(assumption, good, nxt[1])))
             break

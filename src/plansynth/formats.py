@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .dfa import Dfa, check_explicit
+from .dfa import Dfa, check_explicit, explore
 from .domain import Domain
 from .engine import Problem
 from .errors import ParseError
@@ -258,18 +258,15 @@ def parse_strategy(text: str, source: str = "<strategy>") -> AgentStrategy | Env
         return AgentStrategy(vt, n_memory, initial, table)
     # A missing agent row means halt, but the environment always moves, so
     # its table must cover every memory value the rows can reach.
-    todo, seen = [initial], {initial}
-    while todo:
-        mem = todo.pop()
+    def row_of(mem):
         for action in range(vt.n_actions):
             if (mem, action) not in table:
                 _fail(source, None,
                       f"environment strategy lacks a row for memory {mem} on "
                       f"{vt.format_bits(action, vt.n_agent)}")
-            mem2 = table[(mem, action)][1]
-            if mem2 not in seen:
-                seen.add(mem2)
-                todo.append(mem2)
+            yield table[(mem, action)][1]
+
+    explore(initial, row_of)
     return EnvStrategy(vt, n_memory, initial, first_output, table)
 
 

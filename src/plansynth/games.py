@@ -16,7 +16,9 @@ choice nodes, and both are solved by one attractor (`attract`), which the
 parity games share.  The agent's winning region is its attractor to the
 accepting states; the environment's safe set is the complement of the
 agent's attractor to the choice nodes with an answer that leaves the
-accepted language.  Each costs time linear in the arena's edges.
+accepted language.  Each costs time linear in the arena's edges.  The
+agent's game reports its region as a plain dict of ranks, in entry order,
+and the environment's as a frozenset.
 """
 
 from __future__ import annotations
@@ -65,25 +67,6 @@ class EnvStrategy:
 
     def step(self, memory: int, action: int) -> tuple[int, int]:
         return self.table[(memory, action)]
-
-
-@dataclass
-class Region:
-    """Winning states of a game, each with the attractor layer it entered in.
-
-    Agent game: rank i holds the states from which the agent forces an
-    accepting stop within i rounds, so rank 0 is the accepting states.
-    ``ranks`` iterates in the order the states entered the attractor, which
-    never decreases in rank; the extracted strategy answers into a state that
-    entered earlier and has a smaller rank, so every play stops within n
-    rounds.  Environment game: the whole safe set sits at rank 0.
-    """
-
-    ranks: dict[int, int]
-
-    @property
-    def states(self) -> frozenset[int]:
-        return frozenset(self.ranks)
 
 
 def round_arena(m) -> tuple[list[list[int]], list[int]]:
@@ -199,9 +182,11 @@ def _agent_answer(m: Dfa, pos: dict[int, int], q: int, e: int) -> tuple[int, int
     return best
 
 
-def agent_realizable(m: Dfa) -> tuple[bool, Region, AgentStrategy | None]:
+def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None]:
     """Can the agent guarantee stopping inside the accepted language?
 
+    Returns (answer, rank of every winning state, strategy).  The ranks are
+    those of `agent_ranks`, in the order the states entered the attractor.
     The agent must complete at least one round, so an accepting initial state
     is not enough by itself.  The returned strategy uses the automaton state
     as memory plus one fresh-start token (index ``n_states``) that forbids
@@ -210,12 +195,11 @@ def agent_realizable(m: Dfa) -> tuple[bool, Region, AgentStrategy | None]:
     """
     vt = m.vt
     ranks, _ = agent_ranks(m)
-    region = Region(ranks)
     pos = {q: i for i, q in enumerate(ranks)}
     fresh = m.n_states
     first = {e: _agent_answer(m, pos, m.initial, e) for e in range(vt.n_env_states)}
     if any(ans is None for ans in first.values()):
-        return False, region, None
+        return False, ranks, None
     table: dict[tuple[int, int], tuple[int | None, int]] = {}
 
     def row_of(q):
@@ -228,7 +212,7 @@ def agent_realizable(m: Dfa) -> tuple[bool, Region, AgentStrategy | None]:
                 yield answer[1]
 
     explore(fresh, row_of)
-    return True, region, AgentStrategy(vt, m.n_states + 1, fresh, table)
+    return True, ranks, AgentStrategy(vt, m.n_states + 1, fresh, table)
 
 
 def env_safe(m: Dfa) -> tuple[frozenset[int], int]:
@@ -280,18 +264,18 @@ def env_strategy(m, choose) -> EnvStrategy:
     return EnvStrategy(vt, m.n_states, m.initial, moves[m.initial], table)
 
 
-def env_realizable(m: Dfa) -> tuple[bool, Region, EnvStrategy | None]:
+def env_realizable(m: Dfa) -> tuple[bool, frozenset[int], EnvStrategy | None]:
     """Can the environment keep every nonempty prefix accepted?
 
-    The strategy always plays the smallest environment state that stays
-    inside the accepting part of the safe region.
+    Returns (answer, safe set of `env_safe`, strategy).  The strategy always
+    plays the smallest environment state that stays inside the accepting part
+    of the safe set.
     """
     safe, _ = env_safe(m)
-    region = Region({q: 0 for q in sorted(safe)})
     if m.initial not in safe:
-        return False, region, None
+        return False, safe, None
     good = m.finals & safe
-    return True, region, env_strategy(m, lambda q: next(safe_moves(m, good, q)))
+    return True, safe, env_strategy(m, lambda q: next(safe_moves(m, good, q)))
 
 
 def play(agent: AgentStrategy, env, max_rounds: int = 10_000) -> tuple[list[int], bool]:

@@ -314,9 +314,11 @@ def atom_names(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in postorder(f) if isinstance(g, Atom))
 
 
+_TEMPORAL = (Next, WeakNext, Until, Release, Eventually, Always)
+
+
 def is_propositional(f: Formula) -> bool:
-    temporal = (Next, WeakNext, Until, Release, Eventually, Always)
-    return not any(isinstance(g, temporal) for g in postorder(f))
+    return not any(isinstance(g, _TEMPORAL) for g in postorder(f))
 
 
 def _nest(op: type, empty: Formula, parts: Sequence[Formula]) -> Formula:
@@ -575,24 +577,24 @@ def truth_table_mask(f: Formula, order: Sequence[str]) -> int:
     order[j] is true iff bit j of i is set.  Assignment indices therefore
     coincide with joint-symbol encodings when order is the VarTable order.
     """
-    if not is_propositional(f):
-        raise ValueError(f"not propositional: {f!r}")
+    temporal = [type(g).__name__ for g in postorder(f) if isinstance(g, _TEMPORAL)]
+    if temporal:
+        raise ValueError(f"not propositional: contains {temporal[0]}")
     return last_position_tables(f, order)[f]
 
 
 # --- primed-variable elimination -------------------------------------------
 
 
-def prime_to_next(f: Formula, weak: bool, vt: VarTable | None = None) -> Formula:
-    """Rewrite primed environment atoms into next-step obligations.
+def prime_to_next(f: Formula) -> Formula:
+    """Rewrite primed atoms into weak next-step obligations.
 
-    A primed atom stands for the value of an environment variable at the
-    following position.  Substitution is polarity aware so that end-of-trace
-    behaviour is uniform across the formula: with weak=True every primed
-    literal becomes vacuously true at the last position (positive occurrences
-    turn into WX, negative ones into X under the enclosing negation); with
-    weak=False every primed literal becomes false there.  Mid-trace both
-    variants mean exactly "at the next position".
+    A primed atom stands for the value of a variable at the following
+    position.  Substitution is polarity aware so that every primed literal
+    is vacuously true at the last position: positive occurrences turn into
+    WX, negative ones into X under the enclosing negation.  Mid-trace both
+    mean exactly "at the next position".  Callers check that only
+    environment variables are primed (`domain.Domain` does).
 
     Adds one node per primed occurrence and leaves the rest of the tree
     untouched.
@@ -602,15 +604,11 @@ def prime_to_next(f: Formula, weak: bool, vt: VarTable | None = None) -> Formula
         if isinstance(g, Atom):
             if not g.name.endswith("'"):
                 return g
-            base = g.name[:-1]
-            if vt is not None and base not in vt.env_vars:
-                raise VocabularyMismatch(f"primed non-environment variable {g.name!r}")
-            op = WeakNext if positive == weak else Next
-            return op(Atom(base))
+            return (WeakNext if positive else Next)(Atom(g.name[:-1]))
         if isinstance(g, (TrueConst, FalseConst)):
             return g
         if isinstance(g, (Not, And, Or, Implies)):
             return type(g)(*parts)
-        raise ValueError(f"transition formulas are propositional: {g!r}")
+        raise ValueError(f"transition formulas are propositional, not {type(g).__name__}")
 
     return _by_polarity(f, rebuild)

@@ -236,9 +236,8 @@ class ParityRegions:
 def solve_parity_game(m: Dpw) -> ParityRegions:
     """Solve the round game on the automaton with the agent as parity player."""
     m = normalize_colors(m)
-    vt = m.vt
     n = m.n_states
-    n_env = vt.n_env_states
+    n_env = m.vt.n_env_states
     succ, owner, priority, choices = _arena(m, env_seeks_even=False)
     win0, win1, moves0, moves1 = solve_game(succ, owner, priority)
     agent_states = frozenset(q for q in range(n) if q in win0)
@@ -247,9 +246,8 @@ def solve_parity_game(m: Dpw) -> ParityRegions:
     for q in sorted(agent_states):
         for e in range(n_env):
             target = moves0[choices[q * n_env + e]]
-            agent_moves[(q, e)] = min(
-                a for a in range(vt.n_actions) if m.transitions[q][vt.joint(e, a)] == target
-            )
+            # the answers to e are the symbols e, e + n_env, ...: by action
+            agent_moves[(q, e)] = m.transitions[q][e::n_env].index(target)
     env_moves = {q: _env_choice(choices, n_env, q, moves1[q]) for q in sorted(env_states)}
     return ParityRegions(agent_states, env_states, agent_moves, env_moves)
 

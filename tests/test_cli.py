@@ -393,6 +393,19 @@ def test_the_game_product_is_guarded(tmp_path, capsys, monkeypatch):
     assert out == "" and err == "resource limit: 13 states; explicit constructions stop at 12\n"
 
 
+def test_verify_is_guarded(tmp_path, capsys, monkeypatch):
+    # a 1000-round march: the verifier's search meets one node per round
+    problem = write(tmp_path, "p.txt", SYNTH_TEXT.replace("assumption: y -> x", "assumption: true")
+                    .replace("goal: y -> !x", "goal: F x"))
+    march = AgentStrategy(XY, 1001, 0, {(m, e): (1, m + 1) for m in range(1000) for e in (0, 1)})
+    strategy = write(tmp_path, "s.txt", format_strategy(march))
+    assert run(capsys, "verify", problem, strategy)[:2] == (0, "ACCEPT\n")
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 100)
+    code, out, err = run(capsys, "verify", problem, strategy)
+    assert code == 5
+    assert out == "" and err == "resource limit: 101 states; explicit constructions stop at 100\n"
+
+
 def test_too_wide_vocabularies_are_refused_before_the_subset_construction(
     tmp_path, capsys, monkeypatch
 ):

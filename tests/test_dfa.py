@@ -194,6 +194,35 @@ def test_minimize_drops_unreachable_states():
     assert minimize(m).n_states == 1
 
 
+def test_minimize_with_unreachable_class_representatives():
+    # state 0 is unreachable from the initial state 1 but equivalent to the
+    # reachable state 2, so the lowest member of that class is unreachable;
+    # 1 and 3 are equivalent too: the language is the words of odd length
+    m = Dfa(XY, ((3,) * 4, (2,) * 4, (3,) * 4, (2,) * 4), 1, frozenset({0, 2}))
+    assert minimize(m) == oracle_minimize(m)
+    assert minimize(m) == Dfa(XY, ((1,) * 4, (0,) * 4), 0, frozenset({1}))
+
+
+def test_minimize_matches_moore_refinement_with_unreachable_states():
+    rng = random.Random(14)
+    for n_vars in range(1, 5):
+        vt = vocabulary(n_vars)
+        for _ in range(25):
+            core = random_dfa(rng, vt, 6)
+            # extra states lead anywhere, and nothing leads to them
+            n = core.n_states + rng.randint(1, 4)
+            rows = core.transitions + tuple(
+                tuple(rng.randrange(n) for _ in range(vt.n_symbols))
+                for _ in range(n - core.n_states)
+            )
+            finals = core.finals | {q for q in range(core.n_states, n) if rng.random() < 0.5}
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = permute_states(Dfa(vt, rows, core.initial, finals), perm)
+            assert minimize(m) == oracle_minimize(m)
+            assert language_equal(minimize(m), m)
+
+
 def test_language_equal_against_enumeration():
     # 2-symbol alphabet so that full enumeration up to the product-state
     # bound is feasible: any disagreement between two 3-state automata is

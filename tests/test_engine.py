@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from plansynth import dfa
 from plansynth.compiler import compile_formula
 from plansynth.dfa import Dfa, language_equal, minimize
 from plansynth.domain import (
@@ -27,6 +28,7 @@ from plansynth.engine import (
 )
 from plansynth.errors import (
     InvalidAssumptionError,
+    LimitExceeded,
     UnsupportedFairSolve,
     UnsupportedFeature,
 )
@@ -216,6 +218,14 @@ def test_verify_accepts_a_thousand_round_controller():
     idle = verify_strategy(synthesis("true", "F x"), rounds_strategy(1000, lambda m, e: 0))
     assert idle.reason == "halts with the goal unsatisfied"
     assert idle.env_moves == [0] * 1001 and idle.trace == [0] * 1000
+
+
+def test_verify_stops_at_the_one_state_guard(monkeypatch):
+    # the search over (memory, assumption, goal) nodes meets one per round
+    march = rounds_strategy(1000, lambda m, e: 1)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", 100)
+    with pytest.raises(LimitExceeded, match="^101 states; explicit constructions stop at 100$"):
+        verify_strategy(synthesis("true", "F x"), march)
 
 
 def test_synthesize_a_five_thousand_state_chain():

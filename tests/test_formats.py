@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from plansynth import dfa
 from plansynth.compiler import compile_formula
 from plansynth.dfa import Dfa
 from plansynth.engine import Status, synthesize
@@ -223,6 +224,18 @@ def test_env_strategy_totality_is_over_reachable_memories_only():
 
     unreachable_gap = text.replace("0 1 -> 1 1", "0 1 -> 1 2")
     rejects(parse_strategy, unreachable_gap, "lacks a row for memory 2")
+
+
+def test_env_strategy_memories_stop_at_the_one_state_guard(monkeypatch):
+    # every action advances the memory around a cycle of n values
+    n = 12
+    table = {(m, a): (0, (m + 1) % n) for m in range(n) for a in range(XY.n_actions)}
+    text = format_strategy(EnvStrategy(XY, n, 0, 0, table))
+    monkeypatch.setattr(dfa, "STATE_LIMIT", n - 1)
+    with pytest.raises(LimitExceeded, match=f"^{n} states; explicit constructions stop at {n - 1}$"):
+        parse_strategy(text)
+    monkeypatch.setattr(dfa, "STATE_LIMIT", n)
+    assert parse_strategy(text).table == table
 
 
 # --- domains -------------------------------------------------------------------

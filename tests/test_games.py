@@ -94,17 +94,17 @@ def test_agent_extracted_strategies_win():
     realized = 0
     for _ in range(60):
         m = random_dfa(rng, XY, 6)
-        ok, region, strat = agent_realizable(m)
-        assert {q for q, r in region.ranks.items() if r == 0} == m.finals & region.states
+        ok, ranks, strat = agent_realizable(m)
+        assert {q for q, r in ranks.items() if r == 0} == m.finals & ranks.keys()
         if ok:
             realized += 1
             assert_agent_strategy_wins(m, strat)
             # answers never climb in rank and strictly descend the order in
             # which states entered the fixpoint, so plays cannot cycle
-            pos = {q: i for i, q in enumerate(region.ranks)}
+            pos = {q: i for i, q in enumerate(ranks)}
             for (mem, _e), (action, nxt) in strat.table.items():
                 if action is not None and mem != strat.initial:
-                    assert region.ranks[nxt] <= region.ranks[mem]
+                    assert ranks[nxt] <= ranks[mem]
                     assert pos[nxt] < pos[mem]
         else:
             assert strat is None
@@ -131,11 +131,11 @@ def test_env_extracted_strategies_win():
     realized = 0
     for _ in range(60):
         m = random_dfa(rng, XY, 6)
-        ok, region, strat = env_realizable(m)
-        assert set(region.ranks.values()) <= {0}
+        ok, safe, strat = env_realizable(m)
+        assert safe == oracle_env_safe(m)
         if ok:
             realized += 1
-            assert m.initial in region.states
+            assert m.initial in safe
             assert_env_strategy_wins(m, strat)
         else:
             assert strat is None
@@ -177,7 +177,7 @@ def test_env_first_move_is_forced_by_implication():
     # under y -> x the only safe opening is to keep y false: play y and the
     # agent may answer with x false, breaking the first prefix
     m = compile_formula(XY, parse_formula("y -> x", XY))
-    ok, region, strat = env_realizable(m)
+    ok, safe, strat = env_realizable(m)
     assert ok
     assert strat.first_output == 0
     row = m.transitions[m.initial]
@@ -185,7 +185,7 @@ def test_env_first_move_is_forced_by_implication():
         e
         for e in range(XY.n_env_states)
         if all(
-            row[XY.joint(e, a)] in m.finals and row[XY.joint(e, a)] in region.states
+            row[XY.joint(e, a)] in m.finals and row[XY.joint(e, a)] in safe
             for a in range(XY.n_actions)
         )
     ]
@@ -304,15 +304,15 @@ def test_agent_strategies_descend_on_larger_automata():
     for vt in VOCABULARIES:
         for _ in range(30):
             m = random_dfa(rng, vt, 12)
-            ok, region, strat = agent_realizable(m)
+            ok, ranks, strat = agent_realizable(m)
             if not ok:
                 continue
             realized += 1
             assert_agent_strategy_wins(m, strat)
-            pos = {q: i for i, q in enumerate(region.ranks)}
+            pos = {q: i for i, q in enumerate(ranks)}
             for (mem, _e), (action, nxt) in strat.table.items():
                 if action is not None and mem != strat.initial:
-                    assert region.ranks[nxt] < region.ranks[mem]
+                    assert ranks[nxt] < ranks[mem]
                     assert pos[nxt] < pos[mem]
     assert realized > 20
 

@@ -255,20 +255,20 @@ def test_node_count():
 def test_prime_to_next_polarity():
     vt = VarTable(("r",), ("go",))
     f = parse_formula("go -> r'", vt, allow_primed=True)
-    g = prime_to_next(f, weak=True)
+    g = prime_to_next(f)
     assert g == Implies(Atom("go"), WeakNext(Atom("r")))
-    h = prime_to_next(parse_formula("!r'", vt, allow_primed=True), weak=True)
+    h = prime_to_next(parse_formula("!r'", vt, allow_primed=True))
     assert h == Not(Next(Atom("r")))
 
 
 def test_prime_to_next_nested_negation():
     vt = VarTable(("r",), ("go",))
     f = parse_formula("!(go & r')", vt, allow_primed=True)
-    g = prime_to_next(f, weak=True)
+    g = prime_to_next(f)
     # r' sits under one negation: strong next keeps the last position honest
     assert g == Not(And(Atom("go"), Next(Atom("r"))))
     f2 = parse_formula("!(go & !r')", vt, allow_primed=True)
-    assert prime_to_next(f2, weak=True) == Not(And(Atom("go"), Not(WeakNext(Atom("r")))))
+    assert prime_to_next(f2) == Not(And(Atom("go"), Not(WeakNext(Atom("r")))))
 
 
 # --- hash-consed nodes ------------------------------------------------------
@@ -328,6 +328,15 @@ DEEP_TEXTS = {
     "&": "y" + " & x" * DEPTH,
     "()": "y & (" * DEPTH + "x" + ")" * DEPTH,
 }
+
+
+def test_errors_on_deep_temporal_formulas_are_reported_without_recursion():
+    with pytest.raises(ValueError, match="^not propositional: contains Next$"):
+        truth_table_mask(parse_formula(DEEP_TEXTS["X"], XY), ("y", "x"))
+    primed = VarTable(("y",), ("x",))
+    deep = parse_formula("X (" + "x & " * 3000 + "y')", primed, allow_primed=True)
+    with pytest.raises(ValueError, match="^transition formulas are propositional, not Next$"):
+        prime_to_next(deep)
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_TEXTS))
