@@ -33,7 +33,7 @@ from .domain import (
     fairness_formula,
 )
 from .errors import InvalidAssumptionError, UnsupportedFairSolve, UnsupportedFeature
-from .games import AgentStrategy, agent_realizable, env_realizable, env_safe, safe_moves
+from .games import AgentStrategy, agent_realizable, env_realizable, env_safe
 from .logic import TRUE, And, Eventually, Formula, VarTable, is_propositional
 from .parity import Dpw, dpw_agent_realizable, dpw_combine, dpw_env_realizable
 
@@ -243,9 +243,9 @@ def fond_problem(d: Domain, goal: Formula, fair: bool = False) -> Problem:
 def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     """Check one agent strategy against every assumption-consistent environment.
 
-    The environment is restricted to safe moves of the assumption automaton:
-    moves whose successor stays accepting and safety-winning no matter the
-    agent's answer.  A move sequence consists of such moves exactly when some
+    The environment is restricted to `env_safe`'s safe moves of the
+    assumption automaton: moves whose successor stays accepting and
+    safety-winning no matter the agent's answer.  A move sequence consists of such moves exactly when some
     full assumption-realizing environment strategy plays it, so accepting
     means the strategy halts with the goal satisfied against all of them.
     """
@@ -256,8 +256,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
         raise ValueError("strategy built over a different variable table")
     vt = p.vt
     assumption, goal = c.assumption, c.goal
-    safe, _ = env_safe(assumption)
-    good = assumption.finals & safe
+    safe, _, safe_moves = env_safe(assumption)
     if assumption.initial not in safe:
         raise InvalidAssumptionError("the assumption is not environment realizable")
 
@@ -277,7 +276,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
     # every play from it is known to end well; the settled and on-path nodes
     # count against the one state guard.
     start = (s.initial, assumption.initial, goal.initial, True)
-    stack = [(start, safe_moves(assumption, good, start[1]))]
+    stack = [(start, safe_moves(start[1]))]
     path: list[tuple[int, int]] = []
     on_path = {start}
     settled: set = set()
@@ -301,7 +300,7 @@ def verify_strategy(p: Problem, s: AgentStrategy) -> VerifyResult:
             on_path.add(nxt)
             check_states(len(on_path) + len(settled))
             path.append((e, sym))
-            stack.append((nxt, safe_moves(assumption, good, nxt[1])))
+            stack.append((nxt, safe_moves(nxt[1])))
             break
         else:
             stack.pop()

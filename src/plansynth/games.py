@@ -18,11 +18,15 @@ accepting states; the environment's safe set is the complement of the
 agent's attractor to the choice nodes with an answer that leaves the
 accepted language.  Each costs time linear in the arena's edges.  The
 agent's game reports its region as a plain dict of ranks, in entry order,
-and the environment's as a frozenset.
+and the environment's as a frozenset.  Strategies are read off the solved
+arena: the agent plays the move its attractor recorded at each choice node
+(`arena_answer`, shared with the parity games), the environment the choice
+nodes the agent's attractor left out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dfa import Dfa, explore
@@ -142,44 +146,68 @@ def attract(alive, succ, pred, owner, player, base) -> tuple[dict[int, int], dic
     return layers, moves
 
 
-def _agent_attractor(m: Dfa, succ: list[list[int]], base) -> dict[int, int]:
-    """Layers of the agent's attractor to base on the round arena succ of m."""
+def _agent_attractor(m: Dfa, succ: list[list[int]], base) -> tuple[dict, dict]:
+    """The agent's attractor to base on the round arena succ of m: (layers, moves)."""
     n = m.n_states
     owner = [_ENV] * n + [_AGENT] * (len(succ) - n)
-    layers, _ = attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, base)
-    return layers
+    return attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, base)
 
 
-def agent_ranks(m: Dfa) -> tuple[dict[int, int], int]:
+def arena_answer(m, choices: list[int], moves: dict[int, int]) -> Callable:
+    """The agent's answer reader on the round arena of m.
+
+    ``answer(q, e)`` is (action, target) for the arena move ``moves`` names
+    at e's choice node from q: the smallest action into that target.  It is
+    None where the choice node has no move, outside the agent's region.
+    """
+    n_env = m.vt.n_env_states
+
+    def answer(q: int, e: int) -> tuple[int, int] | None:
+        target = moves.get(choices[q * n_env + e])
+        if target is None:
+            return None
+        # the answers to e are the symbols e, e + n_env, ...: by action
+        return m.transitions[q][e::n_env].index(target), target
+
+    return answer
+
+
+def agent_ranks(m: Dfa) -> tuple[dict[int, int], int, Callable]:
     """The agent's winning region: its attractor to the accepting states.
 
     A state of rank i lets the agent force, within i rounds, a stop in an
     accepting state; rank 0 is the accepting states.  Returns (rank by
     state, in the order the states entered the attractor; number of rank
-    layers).
+    layers; the `arena_answer` of the attractor's moves).  Each move is the
+    successor that entered the attractor earliest, which is also one of the
+    smallest rank.  From a state of the region that is not accepting, the
+    answer therefore strictly descends both the rank and the entry order, so
+    a play cannot cycle.
     """
     n = m.n_states
-    layers = _agent_attractor(m, round_arena(m)[0], m.finals)
+    succ, choices = round_arena(m)
+    layers, moves = _agent_attractor(m, succ, m.finals)
     # a round passes a choice node and a state node: states sit on even layers
     ranks = {q: k // 2 for q, k in layers.items() if q < n}
-    return ranks, len(set(ranks.values()))
+    return ranks, len(set(ranks.values())), arena_answer(m, choices, moves)
 
 
-def _agent_answer(m: Dfa, pos: dict[int, int], q: int, e: int) -> tuple[int, int] | None:
-    """Winning answer from q to environment state e, if any.
+def agent_strategy(m, start: int, n_memory: int, answer) -> AgentStrategy:
+    """The agent strategy that plays answer(mem, e) at memory mem against e.
 
-    Picks the successor that entered the attractor earliest, which is also
-    one of the smallest rank.  From a state of the region that is not
-    accepting, that answer therefore strictly descends both the rank and the
-    entry order, so a play cannot cycle.
+    Each answer is (action, next memory); an action of None stops.  The
+    table covers the memories reachable from start, breadth first.
     """
-    vt = m.vt
-    best = None
-    for a in range(vt.n_actions):
-        t = m.transitions[q][vt.joint(e, a)]
-        if t in pos and (best is None or pos[t] < pos[best[1]]):
-            best = (a, t)
-    return best
+    table: dict[tuple[int, int], tuple[int | None, int]] = {}
+
+    def row_of(mem):
+        for e in range(m.vt.n_env_states):
+            table[(mem, e)] = action, nxt = answer(mem, e)
+            if action is not None:
+                yield nxt
+
+    explore(start, row_of)
+    return AgentStrategy(m.vt, n_memory, start, table)
 
 
 def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None]:
@@ -191,56 +219,47 @@ def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None
     is not enough by itself.  The returned strategy uses the automaton state
     as memory plus one fresh-start token (index ``n_states``) that forbids
     stopping before the first answer; afterwards it stops exactly at
-    accepting states.
+    accepting states and otherwise plays `agent_ranks`' answer.
     """
-    vt = m.vt
-    ranks, _ = agent_ranks(m)
-    pos = {q: i for i, q in enumerate(ranks)}
+    ranks, _, answer = agent_ranks(m)
     fresh = m.n_states
-    first = {e: _agent_answer(m, pos, m.initial, e) for e in range(vt.n_env_states)}
-    if any(ans is None for ans in first.values()):
+    first = [answer(m.initial, e) for e in range(m.vt.n_env_states)]
+    if None in first:
         return False, ranks, None
-    table: dict[tuple[int, int], tuple[int | None, int]] = {}
 
-    def row_of(q):
-        for e in range(vt.n_env_states):
-            if q in m.finals:
-                table[(q, e)] = (None, q)
-            else:
-                answer = first[e] if q == fresh else _agent_answer(m, pos, q, e)
-                table[(q, e)] = answer
-                yield answer[1]
+    def step(q, e):
+        if q == fresh:
+            return first[e]
+        if q in m.finals:
+            return None, q
+        return answer(q, e)
 
-    explore(fresh, row_of)
-    return True, ranks, AgentStrategy(vt, m.n_states + 1, fresh, table)
+    return True, ranks, agent_strategy(m, fresh, m.n_states + 1, step)
 
 
-def env_safe(m: Dfa) -> tuple[frozenset[int], int]:
+def env_safe(m: Dfa) -> tuple[frozenset[int], int, Callable]:
     """States from which the environment keeps every prefix accepted forever.
 
     A state is safe when some environment state forces, for every action, a
     successor that is both accepting and safe.  The unsafe states are the
     agent's attractor to the choice nodes with an answer into a rejecting
-    state.  Returns (safe set, number of layers of unsafe states).
+    state.  Returns (safe set, number of layers of unsafe states, reader).
+    ``safe_moves(q)`` iterates, in increasing order, the environment states
+    at q whose choice node the attractor left out: those whose every answer
+    leads into an accepting safe state.
     """
-    n = m.n_states
+    n, n_env = m.n_states, m.vt.n_env_states
     finals = m.finals
-    succ, _ = round_arena(m)
+    succ, choices = round_arena(m)
     leaks = [v for v in range(n, len(succ)) if not finals.issuperset(succ[v])]
-    layers = _agent_attractor(m, succ, leaks)
+    layers, _ = _agent_attractor(m, succ, leaks)
     safe = frozenset(q for q in range(n) if q not in layers)
-    return safe, len({k for q, k in layers.items() if q < n})
 
+    def safe_moves(q: int):
+        row = choices[q * n_env:(q + 1) * n_env]
+        return (e for e, node in enumerate(row) if node not in layers)
 
-def safe_moves(m: Dfa, good, q: int):
-    """The environment states at q, in increasing order, whose every answer
-    leads into good."""
-    row = m.transitions[q]
-    n_env = m.vt.n_env_states
-    for e in range(n_env):
-        # the answers to e are the symbols e, e + n_env, e + 2 * n_env, ...
-        if all(t in good for t in row[e::n_env]):
-            yield e
+    return safe, len({k for q, k in layers.items() if q < n}), safe_moves
 
 
 def env_strategy(m, choose) -> EnvStrategy:
@@ -268,14 +287,12 @@ def env_realizable(m: Dfa) -> tuple[bool, frozenset[int], EnvStrategy | None]:
     """Can the environment keep every nonempty prefix accepted?
 
     Returns (answer, safe set of `env_safe`, strategy).  The strategy always
-    plays the smallest environment state that stays inside the accepting part
-    of the safe set.
+    plays the smallest of `env_safe`'s safe moves.
     """
-    safe, _ = env_safe(m)
+    safe, _, safe_moves = env_safe(m)
     if m.initial not in safe:
         return False, safe, None
-    good = m.finals & safe
-    return True, safe, env_strategy(m, lambda q: next(safe_moves(m, good, q)))
+    return True, safe, env_strategy(m, lambda q: next(safe_moves(q)))
 
 
 def play(agent: AgentStrategy, env, max_rounds: int = 10_000) -> tuple[list[int], bool]:

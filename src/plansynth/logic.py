@@ -172,7 +172,16 @@ class Formula:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+        # a flat encoding in post-order, which `_from_postorder` rebuilds in
+        # a loop, so that deep formulas pickle: one (class, *fields) entry
+        # per distinct node, with each child field the index of its entry
+        nodes = postorder(self)
+        index = {g: i for i, g in enumerate(nodes)}
+        code = []
+        for g in nodes:
+            fields = (getattr(g, n) for n in g.__match_args__)
+            code.append((type(g), *(index[v] if isinstance(v, Formula) else v for v in fields)))
+        return _from_postorder, (tuple(code),)
 
     def __copy__(self):
         return self
@@ -181,12 +190,34 @@ class Formula:
         return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # written from an explicit stack of nodes and literal text, so that
+        # deep formulas print
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__name__}("]
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                piece = value if isinstance(value, Formula) else repr(value)
+                parts += [", " * (k > 0) + f"{name}=", piece]
+            stack += reversed(parts + [")"])
+        return "".join(out)
 
 
 # (class, *fields) -> the live node; an entry leaves when its node is freed
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _from_postorder(code) -> Formula:
+    """The formula of `Formula.__reduce__`'s flat encoding: its last entry."""
+    built: list[Formula] = []
+    for cls, *fields in code:
+        built.append(cls(*(built[v] if isinstance(v, int) else v for v in fields)))
+    return built[-1]
 
 
 class TrueConst(Formula):

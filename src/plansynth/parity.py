@@ -10,16 +10,28 @@ environment reveals an environment state, the agent answers with an action —
 but the play never stops, and winning means the infinite joint trace is
 accepted.  Either participant can be cast as the accepting player, so
 realizability for the two sides comes from two independently built arenas
-rather than from complementing one solution.
+rather than from complementing one solution.  Each side's positional
+strategy is read off Zielonka's moves on its arena: the agent's through the
+same `games.arena_answer` as in the finite game.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dfa import CONNECTIVES, _check_same_vt, check_explicit, explore
 from .errors import VocabularyMismatch
-from .games import AgentStrategy, EnvStrategy, attract, env_strategy, predecessors, round_arena
+from .games import (
+    AgentStrategy,
+    EnvStrategy,
+    agent_strategy,
+    arena_answer,
+    attract,
+    env_strategy,
+    predecessors,
+    round_arena,
+)
 from .logic import VarTable
 
 
@@ -135,43 +147,37 @@ def _zielonka(alive, succ, pred, owner, priority):
 
     It yields each subgame it needs solved, receives that subgame's
     solution, and returns its own, so a driver loop can run the recursion
-    with its own stack instead of the interpreter's.  Subgames are carved
+    with its own stack instead of the interpreter's.  A solution is
+    (regions, moves), each a list indexed by player.  Subgames are carved
     out of the one ``alive`` set in place and restored before the generator
     goes on, so the suspended levels share it rather than each holding a
     copy.
     """
     if not alive:
-        return set(), set(), {}, {}
+        return [set(), set()], [{}, {}]
     p = max(priority[v] for v in alive)
     i = p % 2
     top = {v for v in alive if priority[v] == p}
-    region_a, strat_a = attract(alive, succ, pred, owner, i, top)
+    region_a, moves_a = attract(alive, succ, pred, owner, i, top)
     alive.difference_update(region_a)
-    w0, w1, s0, s1 = yield alive
+    regions, moves = yield alive
     alive.update(region_a)
-    strat_me = s0 if i == 0 else s1
-    win_op = w1 if i == 0 else w0
-    if not win_op:
-        strat_me.update(strat_a)
+    if not regions[1 - i]:
+        # the opponent's moves lie in its region, so they are empty too
+        regions[i] = set(alive)
+        moves[i].update(moves_a)
         for v in sorted(top):
-            if owner[v] == i and v not in strat_me:
-                strat_me[v] = min(w for w in succ[v] if w in alive)
-        full = set(alive)
-        return (full, set(), strat_me, {}) if i == 0 else (set(), full, {}, strat_me)
-    strat_op = s1 if i == 0 else s0
-    region_b, strat_b = attract(alive, succ, pred, owner, 1 - i, win_op)
+            if owner[v] == i and v not in moves[i]:
+                moves[i][v] = min(w for w in succ[v] if w in alive)
+        return regions, moves
+    region_b, moves_b = attract(alive, succ, pred, owner, 1 - i, regions[1 - i])
     alive.difference_update(region_b)
-    w0b, w1b, s0b, s1b = yield alive
+    sub_regions, sub_moves = yield alive
     alive.update(region_b)
-    op_all = (w1b if i == 0 else w0b).union(region_b)
-    op_strat = s1b if i == 0 else s0b
-    op_strat.update(strat_b)
-    op_strat.update(strat_op)
-    me_all = w0b if i == 0 else w1b
-    me_strat = s0b if i == 0 else s1b
-    if i == 0:
-        return me_all, op_all, me_strat, op_strat
-    return op_all, me_all, op_strat, me_strat
+    sub_regions[1 - i].update(region_b)
+    sub_moves[1 - i].update(moves_b)
+    sub_moves[1 - i].update(moves[1 - i])
+    return sub_regions, sub_moves
 
 
 def solve_game(succ, owner, priority):
@@ -196,7 +202,8 @@ def solve_game(succ, owner, priority):
         else:
             stack.append(_zielonka(sub, succ, pred, owner, priority))
             solved = None
-    return solved
+    (win0, win1), (moves0, moves1) = solved
+    return win0, win1, moves0, moves1
 
 
 def _arena(m: Dpw, env_seeks_even: bool):
@@ -213,43 +220,29 @@ def _arena(m: Dpw, env_seeks_even: bool):
     return succ, owner, priority, choices
 
 
-def _env_choice(choices: list[int], n_env: int, q: int, node: int) -> int:
-    """The smallest environment state whose choice at q is node."""
-    return choices.index(node, q * n_env, (q + 1) * n_env) - q * n_env
-
-
 @dataclass
 class ParityRegions:
-    """Determinacy partition of the automaton states, with winning moves.
+    """Determinacy partition of the automaton states, with the agent's answer.
 
-    From agent_states the agent forces acceptance, with agent_moves giving
-    its answer to every environment choice there; env_states is the rest,
-    where env_moves names the environment's winning choice.
+    From agent_states the agent forces acceptance, and ``answer(q, e)`` (a
+    `games.arena_answer`) gives its winning (action, next state) to every
+    environment choice e there; env_states is the rest.
     """
 
     agent_states: frozenset[int]
     env_states: frozenset[int]
-    agent_moves: dict[tuple[int, int], int]
-    env_moves: dict[int, int]
+    answer: Callable[[int, int], tuple[int, int] | None]
 
 
 def solve_parity_game(m: Dpw) -> ParityRegions:
     """Solve the round game on the automaton with the agent as parity player."""
     m = normalize_colors(m)
     n = m.n_states
-    n_env = m.vt.n_env_states
     succ, owner, priority, choices = _arena(m, env_seeks_even=False)
-    win0, win1, moves0, moves1 = solve_game(succ, owner, priority)
+    win0, win1, moves0, _ = solve_game(succ, owner, priority)
     agent_states = frozenset(q for q in range(n) if q in win0)
     env_states = frozenset(q for q in range(n) if q in win1)
-    agent_moves = {}
-    for q in sorted(agent_states):
-        for e in range(n_env):
-            target = moves0[choices[q * n_env + e]]
-            # the answers to e are the symbols e, e + n_env, ...: by action
-            agent_moves[(q, e)] = m.transitions[q][e::n_env].index(target)
-    env_moves = {q: _env_choice(choices, n_env, q, moves1[q]) for q in sorted(env_states)}
-    return ParityRegions(agent_states, env_states, agent_moves, env_moves)
+    return ParityRegions(agent_states, env_states, arena_answer(m, choices, moves0))
 
 
 def dpw_agent_realizable(m: Dpw) -> tuple[bool, AgentStrategy | None]:
@@ -258,21 +251,10 @@ def dpw_agent_realizable(m: Dpw) -> tuple[bool, AgentStrategy | None]:
     The returned strategy is positional over automaton states: memory is the
     current state, and the table never stops the play.
     """
-    vt = m.vt
     regions = solve_parity_game(m)
     if m.initial not in regions.agent_states:
         return False, None
-    table: dict[tuple[int, int], tuple[int | None, int]] = {}
-
-    def row_of(q):
-        for e in range(vt.n_env_states):
-            a = regions.agent_moves[(q, e)]
-            target = m.transitions[q][vt.joint(e, a)]
-            table[(q, e)] = (a, target)
-            yield target
-
-    explore(m.initial, row_of)
-    return True, AgentStrategy(vt, m.n_states, m.initial, table)
+    return True, agent_strategy(m, m.initial, m.n_states, regions.answer)
 
 
 def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:
@@ -289,6 +271,7 @@ def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:
     n_env = m.vt.n_env_states
 
     def chosen(q: int) -> int:
-        return _env_choice(choices, n_env, q, moves0[q])
+        # the smallest environment state whose choice node is the winning move
+        return choices.index(moves0[q], q * n_env, (q + 1) * n_env) - q * n_env
 
     return True, env_strategy(m, chosen)

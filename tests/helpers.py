@@ -242,6 +242,42 @@ def oracle_agent_layers(m: Dfa) -> dict[int, int]:
         layer.update((q, i) for q in new)
 
 
+def reference_agent_table(m: Dfa, order) -> dict | None:
+    """The table the agent's strategy should have, or None if the agent
+    cannot complete a first round into its region.
+
+    ``order`` lists the region's states in the order they entered the
+    attractor.  The answer from q to e is the first action into the
+    successor that comes earliest in ``order``.  Memory is the automaton
+    state, plus a fresh token ``n_states`` at the start, which answers from
+    the initial state even when it accepts; every later accepting state
+    stops.  Rows cover the memories reachable from the token, breadth
+    first."""
+    vt = m.vt
+    pos = {q: i for i, q in enumerate(order)}
+    fresh = m.n_states
+    table: dict = {}
+    queue, seen = [fresh], {fresh}
+    for mem in queue:
+        q = m.initial if mem == fresh else mem
+        for e in range(vt.n_env_states):
+            if mem != fresh and q in m.finals:
+                table[(mem, e)] = (None, mem)
+                continue
+            best = None
+            for a in range(vt.n_actions):
+                t = m.transitions[q][vt.joint(e, a)]
+                if t in pos and (best is None or pos[t] < pos[best[1]]):
+                    best = (a, t)
+            if best is None:
+                return None
+            table[(mem, e)] = best
+            if best[1] not in seen:
+                seen.add(best[1])
+                queue.append(best[1])
+    return table
+
+
 def oracle_env_safe(m: Dfa) -> frozenset[int]:
     """Greatest fixpoint of the environment's safe states: sweep the
     candidates in increasing order, dropping each state that has no

@@ -12,7 +12,6 @@ from plansynth.games import (
     env_realizable,
     env_safe,
     play,
-    safe_moves,
 )
 from plansynth.logic import VarTable, parse_formula
 
@@ -24,6 +23,7 @@ from helpers import (
     oracle_env_safe,
     oracle_safe_set,
     random_dfa,
+    reference_agent_table,
 )
 
 VOCABULARIES = [
@@ -84,7 +84,7 @@ def random_env_strategy(rng, vt, n_memory: int = 3) -> EnvStrategy:
 
 def test_agent_fixpoint_ranks():
     m = compile_formula(XY, parse_formula("F x", XY))
-    ranks, _ = agent_ranks(m)
+    ranks, _, _ = agent_ranks(m)
     assert {q for q, r in ranks.items() if r == 0} == m.finals
     assert set(ranks) == set(range(m.n_states))  # agent can always reach x
 
@@ -199,8 +199,9 @@ def test_env_strategy_plays_the_smallest_safe_move():
             m = random_dfa(rng, vt, 6)
             safe = oracle_safe_set(m)
             moves = {q: _oracle_safe_moves(m, safe, q) for q in range(m.n_states)}
+            safe_moves = env_safe(m)[2]
             for q in range(m.n_states):
-                assert list(safe_moves(m, m.finals & safe, q)) == moves[q]
+                assert list(safe_moves(q)) == moves[q]
             ok, _, strat = env_realizable(m)
             if not ok:
                 continue
@@ -264,7 +265,7 @@ def test_safe_set_is_a_fixpoint():
     rng = random.Random(46)
     for _ in range(30):
         m = random_dfa(rng, XY, 6)
-        safe, _ = env_safe(m)
+        safe, _, _ = env_safe(m)
         for q in safe:
             row = m.transitions[q]
             assert any(
@@ -281,7 +282,7 @@ def test_agent_region_matches_the_sweep_fixpoint():
     for vt in VOCABULARIES:
         for _ in range(40):
             m = random_dfa(rng, vt, 10)
-            ranks, layers = agent_ranks(m)
+            ranks, layers, _ = agent_ranks(m)
             assert set(ranks) == oracle_agent_region(m)
             assert ranks == oracle_agent_layers(m)
             assert layers == len(set(ranks.values()))
@@ -294,7 +295,7 @@ def test_env_safe_matches_the_sweep_fixpoint():
     for vt in VOCABULARIES:
         for _ in range(40):
             m = random_dfa(rng, vt, 10)
-            safe, _ = env_safe(m)
+            safe, _, _ = env_safe(m)
             assert safe == oracle_env_safe(m)
 
 
@@ -317,6 +318,31 @@ def test_agent_strategies_descend_on_larger_automata():
     assert realized > 20
 
 
+def test_agent_table_matches_the_reference_rule():
+    # every start state of each automaton: accepting ones, which still owe a
+    # first round, and ones outside the region, where the agent loses
+    rng = random.Random(51)
+    starts = {"accepting": 0, "outside": 0, "realized": 0}
+    for vt in VOCABULARIES:
+        for _ in range(25):
+            m = random_dfa(rng, vt, 8)
+            for q in range(m.n_states):
+                mq = Dfa(vt, m.transitions, q, m.finals)
+                ok, ranks, strat = agent_realizable(mq)
+                expected = reference_agent_table(mq, list(ranks))
+                assert ok == (expected is not None)
+                if ok:
+                    # the same rows, in the same (breadth-first) order
+                    assert list(strat.table.items()) == list(expected.items())
+                    assert strat.initial == strat.n_memory - 1 == m.n_states
+                else:
+                    assert strat is None
+                starts["accepting"] += q in m.finals
+                starts["outside"] += q not in ranks
+                starts["realized"] += ok
+    assert min(starts.values()) > 20
+
+
 def test_games_on_a_long_chain():
     # the agent advances one state per round by answering the environment's
     # bit with a keyed bit; every other answer stays put, and only the end
@@ -330,7 +356,7 @@ def test_games_on_a_long_chain():
     ]
     chain = Dfa(XY, rows, 0, {n - 1})
     assert minimize(chain) == chain
-    ranks, layers = agent_ranks(chain)
+    ranks, layers, _ = agent_ranks(chain)
     assert layers == n and ranks == {q: n - 1 - q for q in reversed(range(n))}
     ok, _, strat = agent_realizable(chain)
     assert ok and len(strat.table) == 2 * n
@@ -338,4 +364,4 @@ def test_games_on_a_long_chain():
     # it, and loses the states one round at a time
     march = Dfa(XY, [[min(q + 1 + sym % 2, n - 1) for sym in range(4)] for q in range(n)],
                 0, set(range(n - 1)))
-    assert env_safe(march) == (frozenset(), n - 1)
+    assert env_safe(march)[:2] == (frozenset(), n - 1)

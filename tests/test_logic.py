@@ -313,6 +313,20 @@ def test_deep_formula_builds_hashes_and_compares_without_recursion():
     assert f != Next(f) and f.operand is not f
 
 
+def test_deep_formula_reprs_and_pickles_without_recursion():
+    limit = sys.getrecursionlimit()
+    f = Atom("x")
+    for _ in range(5000):
+        f = Next(f)
+    assert repr(f) == "Next(operand=" * 5000 + "Atom(name='x')" + ")" * 5000
+    assert pickle.loads(pickle.dumps(f)) is f
+    # a shared subformula is encoded once and comes back shared
+    g = Until(f, And(f, Atom("y")))
+    back = pickle.loads(pickle.dumps(g))
+    assert back is g and back.left is back.right.left
+    assert sys.getrecursionlimit() == limit
+
+
 # --- depth ---------------------------------------------------------------------
 
 DEPTH = 5000

@@ -184,6 +184,39 @@ def test_solve_game_deeper_than_the_interpreter_stack():
     assert moves0 == {v: v for v in range(0, n, 2)} and not moves1
 
 
+def test_solve_game_moves_stay_inside_their_regions_and_win():
+    # a player's region and moves win when the opponent cannot leave the
+    # region, and every cycle the moves leave open peaks at that player's
+    # parity; both players winning on a partition pins the regions down too
+    rng = random.Random(60)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        succ = [rng.sample(range(n), rng.randint(1, min(3, n))) for _ in range(n)]
+        owner = [rng.randrange(2) for _ in range(n)]
+        priority = [rng.randrange(5) for _ in range(n)]
+        win0, win1, moves0, moves1 = solve_game(succ, owner, priority)
+        assert win0 | win1 == set(range(n)) and not win0 & win1
+        for player, region, moves in ((0, win0, moves0), (1, win1, moves1)):
+            assert set(moves) == {v for v in region if owner[v] == player}
+            graph = {}
+            for v in region:
+                graph[v] = [moves[v]] if owner[v] == player else succ[v]
+                assert moves.get(v, succ[v][0]) in succ[v]
+                assert set(graph[v]) <= region
+            for v in region:
+                if priority[v] % 2 == player:
+                    continue
+                # no cycle through v whose other nodes have priority <= v's
+                low = {w for w in region if priority[w] <= priority[v]}
+                todo, reached = list(graph[v]), set()
+                while todo:
+                    w = todo.pop()
+                    assert w != v, "a cycle peaks at the opponent's parity"
+                    if w in low and w not in reached:
+                        reached.add(w)
+                        todo += graph[w]
+
+
 def test_solver_matches_exhaustive_oracle():
     rng = random.Random(56)
     for _ in range(40):
