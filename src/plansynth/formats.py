@@ -184,9 +184,9 @@ def format_strategy(s: AgentStrategy | EnvStrategy) -> str:
     """Textual form of a strategy transducer.
 
     Agent rows map (memory, environment move) to an action or ``halt``;
-    environment rows map (memory, action) to the next environment move.  A
-    missing agent row means halt, so writers may drop nothing — the table is
-    emitted verbatim, sorted by memory then input.
+    environment rows map (memory, action) to the next environment move.  The
+    table is emitted verbatim, sorted by memory then input; built strategies
+    hold no ``halt`` rows, since a missing agent row already means halt.
     """
     vt = s.vt
     is_agent = isinstance(s, AgentStrategy)

@@ -40,10 +40,10 @@ _AGENT, _ENV = 0, 1
 class AgentStrategy:
     """Finite-memory agent strategy.
 
-    ``table`` maps (memory, env_state) to (action, next_memory); an action of
-    None means the agent stops without answering the pending environment
-    state.  A missing row is read as stopping too, matching the view of a
-    strategy as a partial function of the environment history.
+    ``table`` maps (memory, env_state) to (action, next_memory).  A missing
+    row stops without answering the pending environment state, as does a
+    file's ``halt`` row, read as action None.  Strategies built here
+    (`strategy_table`) list only the moves they play.
     """
 
     vt: VarTable
@@ -192,22 +192,23 @@ def agent_ranks(m: Dfa) -> tuple[dict[int, int], int, Callable]:
     return ranks, len(set(ranks.values())), arena_answer(m, choices, moves)
 
 
-def agent_strategy(m, start: int, n_memory: int, answer) -> AgentStrategy:
-    """The agent strategy that plays answer(mem, e) at memory mem against e.
+def strategy_table(start, n_inputs: int, step: Callable) -> dict:
+    """Table step(mem, i) = (output, next memory) for every input i < n_inputs.
 
-    Each answer is (action, next memory); an action of None stops.  The
-    table covers the memories reachable from start, breadth first.
+    The rows cover the memories reachable from start (`dfa.explore`, breadth
+    first); a step of None stops and writes no row.
     """
-    table: dict[tuple[int, int], tuple[int | None, int]] = {}
+    table = {}
 
     def row_of(mem):
-        for e in range(m.vt.n_env_states):
-            table[(mem, e)] = action, nxt = answer(mem, e)
-            if action is not None:
-                yield nxt
+        for i in range(n_inputs):
+            move = step(mem, i)
+            if move is not None:
+                table[(mem, i)] = move
+                yield move[1]
 
     explore(start, row_of)
-    return AgentStrategy(m.vt, n_memory, start, table)
+    return table
 
 
 def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None]:
@@ -218,8 +219,8 @@ def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None
     The agent must complete at least one round, so an accepting initial state
     is not enough by itself.  The returned strategy uses the automaton state
     as memory plus one fresh-start token (index ``n_states``) that forbids
-    stopping before the first answer; afterwards it stops exactly at
-    accepting states and otherwise plays `agent_ranks`' answer.
+    stopping before the first answer; afterwards it stops (has no row)
+    exactly at accepting states and otherwise plays `agent_ranks`' answer.
     """
     ranks, _, answer = agent_ranks(m)
     fresh = m.n_states
@@ -230,11 +231,10 @@ def agent_realizable(m: Dfa) -> tuple[bool, dict[int, int], AgentStrategy | None
     def step(q, e):
         if q == fresh:
             return first[e]
-        if q in m.finals:
-            return None, q
-        return answer(q, e)
+        return None if q in m.finals else answer(q, e)
 
-    return True, ranks, agent_strategy(m, fresh, m.n_states + 1, step)
+    table = strategy_table(fresh, m.vt.n_env_states, step)
+    return True, ranks, AgentStrategy(m.vt, m.n_states + 1, fresh, table)
 
 
 def env_safe(m: Dfa) -> tuple[frozenset[int], int, Callable]:
@@ -265,22 +265,19 @@ def env_safe(m: Dfa) -> tuple[frozenset[int], int, Callable]:
 def env_strategy(m, choose) -> EnvStrategy:
     """The environment strategy that plays choose(q) at every automaton state q.
 
-    Memory is the automaton state after each completed round; the table
-    covers the states reachable from the initial one, breadth first.
+    Memory is the automaton state after each completed round, and choose is
+    called once per state reachable from the initial one (`strategy_table`).
     """
-    vt = m.vt
-    moves: dict[int, int] = {}
-    targets: dict[tuple[int, int], int] = {}
+    moves = {m.initial: choose(m.initial)}  # every memory stepped is a key
 
-    def row_of(q):
-        e = moves[q] = choose(q)
-        for a in range(vt.n_actions):
-            targets[(q, a)] = t = m.transitions[q][vt.joint(e, a)]
-            yield t
+    def step(q: int, a: int) -> tuple[int, int]:
+        t = m.transitions[q][m.vt.joint(moves[q], a)]
+        if t not in moves:
+            moves[t] = choose(t)
+        return moves[t], t
 
-    explore(m.initial, row_of)
-    table = {key: (moves[t], t) for key, t in targets.items()}
-    return EnvStrategy(vt, m.n_states, m.initial, moves[m.initial], table)
+    table = strategy_table(m.initial, m.vt.n_actions, step)
+    return EnvStrategy(m.vt, m.n_states, m.initial, moves[m.initial], table)
 
 
 def env_realizable(m: Dfa) -> tuple[bool, frozenset[int], EnvStrategy | None]:

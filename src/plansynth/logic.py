@@ -115,16 +115,17 @@ class VarTable:
         """
         if width == 0:
             return "-"
-        return "".join("1" if value >> i & 1 else "0" for i in range(width))
+        return format(value, f"0{width}b")[::-1]
 
     def parse_bits(self, text: str, width: int) -> int:
         if width == 0:
             if text != "-":
                 raise ParseError(f"expected '-' for empty variable block, got {text!r}")
             return 0
-        if len(text) != width or any(c not in "01" for c in text):
+        # the strip keeps out what int() also takes: "_", signs, spaces, other digits
+        if len(text) != width or text.strip("01"):
             raise ParseError(f"expected {width} bits, got {text!r}")
-        return sum(1 << i for i, c in enumerate(text) if c == "1")
+        return int(text[::-1], 2)
 
     @staticmethod
     def primed(name: str) -> str:

@@ -25,12 +25,12 @@ from .errors import VocabularyMismatch
 from .games import (
     AgentStrategy,
     EnvStrategy,
-    agent_strategy,
     arena_answer,
     attract,
     env_strategy,
     predecessors,
     round_arena,
+    strategy_table,
 )
 from .logic import VarTable
 
@@ -254,7 +254,8 @@ def dpw_agent_realizable(m: Dpw) -> tuple[bool, AgentStrategy | None]:
     regions = solve_parity_game(m)
     if m.initial not in regions.agent_states:
         return False, None
-    return True, agent_strategy(m, m.initial, m.n_states, regions.answer)
+    table = strategy_table(m.initial, m.vt.n_env_states, regions.answer)
+    return True, AgentStrategy(m.vt, m.n_states, m.initial, table)
 
 
 def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:

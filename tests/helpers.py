@@ -251,8 +251,8 @@ def reference_agent_table(m: Dfa, order) -> dict | None:
     successor that comes earliest in ``order``.  Memory is the automaton
     state, plus a fresh token ``n_states`` at the start, which answers from
     the initial state even when it accepts; every later accepting state
-    stops.  Rows cover the memories reachable from the token, breadth
-    first."""
+    stops and has no row.  Rows cover the memories reachable from the
+    token, breadth first."""
     vt = m.vt
     pos = {q: i for i, q in enumerate(order)}
     fresh = m.n_states
@@ -262,8 +262,7 @@ def reference_agent_table(m: Dfa, order) -> dict | None:
         q = m.initial if mem == fresh else mem
         for e in range(vt.n_env_states):
             if mem != fresh and q in m.finals:
-                table[(mem, e)] = (None, mem)
-                continue
+                break
             best = None
             for a in range(vt.n_actions):
                 t = m.transitions[q][vt.joint(e, a)]

@@ -15,7 +15,7 @@ import pytest
 from plansynth import cli, compiler, dfa, domain, engine
 from plansynth.cli import main
 from plansynth.compiler import compile_formula
-from plansynth.dfa import combine, language_equal, minimize
+from plansynth.dfa import Dfa, combine, language_equal, minimize
 from plansynth.domain import env_behavior_dfa, fairness_formula
 from plansynth.engine import Problem, verify_strategy
 from plansynth.formats import (
@@ -27,7 +27,7 @@ from plansynth.formats import (
     parse_automaton,
 )
 from plansynth.games import AgentStrategy, EnvStrategy
-from plansynth.logic import format_formula, parse_formula
+from plansynth.logic import VarTable, format_formula, parse_formula
 from plansynth.parity import Dpw
 
 from helpers import XY
@@ -196,6 +196,22 @@ def test_infinite_synthesis(tmp_path, capsys):
     assert any(line.startswith("game_colors: ") for line in lines)
 
 
+def test_infinite_problems_without_a_solver_path_are_unsupported(tmp_path, capsys):
+    write(tmp_path, "a.aut", format_automaton(Dpw(XY, ((0, 0, 0, 0),), 0, (0,))))
+    head = "semantics: infinite\nenv: y\nagent: x\nassumption: @a.aut\n"
+    # a formula side has no infinite-trace compiler
+    problem = write(tmp_path, "p.txt", head + "goal: F x\n")
+    code, out, _ = run(capsys, "synthesize", problem)
+    assert code == 4
+    assert out.startswith("unsupported: infinite semantics takes parity automata only")
+    # verify has no infinite-trace checker
+    problem = write(tmp_path, "p.txt", head + "goal: @a.aut\n")
+    strategy = write(tmp_path, "s.txt", format_strategy(halting_strategy(1)))
+    code, out, _ = run(capsys, "verify", problem, strategy)
+    assert code == 4
+    assert out == "unsupported: verification is provided for finite semantics only\n"
+
+
 # --- plan ---------------------------------------------------------------------
 
 
@@ -360,6 +376,33 @@ def test_malformed_problem_names_file_and_line(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: ")
     assert "p.txt:1:" in err and "finite" in err
+
+
+@pytest.mark.parametrize("agent, fragment", [("X", "reserved: 'X'"), ("p", "duplicate")])
+def test_bad_variable_names_are_line_numbered_bad_input(tmp_path, capsys, agent, fragment):
+    # in a problem's own blocks, in a domain's and in an automaton's; the
+    # error names the line of the environment block
+    sides = "assumption: true\ngoal: true\n"
+    problem = write(tmp_path, "p.txt", f"semantics: finite\nenv: p\nagent: {agent}\n" + sides)
+    code, _, err = run(capsys, "synthesize", problem)
+    assert code == 3 and err.startswith("error: ") and "p.txt:2: " in err and fragment in err
+
+    write(tmp_path, "d.txt", DOMAIN_TEXT.replace("agent: m", f"agent: {agent}"))
+    code, _, err = run(capsys, "plan", write(tmp_path, "p.txt", PLAN_TEXT))
+    assert code == 3 and "d.txt:1: " in err and fragment in err
+
+    aut = format_automaton(Dfa(VarTable(("p",), ("m",)), [[0] * 4], 0, {0}))
+    write(tmp_path, "a.aut", aut.replace("vars: p | m", f"vars: p | {agent}"))
+    text = "semantics: finite\nenv: p\nagent: m\nassumption: @a.aut\ngoal: true\n"
+    code, _, err = run(capsys, "synthesize", write(tmp_path, "p.txt", text))
+    assert code == 3 and "a.aut:1: " in err and fragment in err
+
+
+def test_empty_domain_path_is_bad_input(tmp_path, capsys):
+    problem = write(tmp_path, "p.txt", PLAN_TEXT.replace("domain: d.txt", "domain:"))
+    code, _, err = run(capsys, "plan", problem)
+    assert code == 3
+    assert "p.txt:2: domain path is empty" in err
 
 
 def test_missing_file_is_bad_input(tmp_path, capsys):

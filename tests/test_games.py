@@ -256,6 +256,15 @@ def test_play_extracted_env_against_extracted_agent():
     assert both > 3
 
 
+def test_play_gives_up_after_max_rounds():
+    # the agent answers x to everything and never stops
+    agent = AgentStrategy(XY, 1, 0, {(0, e): (1, 0) for e in range(2)})
+    env = EnvStrategy(XY, 1, 0, 1, {(0, a): (a, 0) for a in range(2)})
+    trace, halted = play(agent, env, max_rounds=5)
+    assert not halted
+    assert trace == [XY.joint(1, 1)] * 5
+
+
 def test_missing_row_reads_as_stop():
     strat = AgentStrategy(XY, 1, 0, {})
     assert strat.step(0, 1) == (None, 0)
@@ -359,7 +368,7 @@ def test_games_on_a_long_chain():
     ranks, layers, _ = agent_ranks(chain)
     assert layers == n and ranks == {q: n - 1 - q for q in reversed(range(n))}
     ok, _, strat = agent_realizable(chain)
-    assert ok and len(strat.table) == 2 * n
+    assert ok and len(strat.table) == 2 * (n - 1)
     # every state accepts but the end: the environment cannot keep away from
     # it, and loses the states one round at a time
     march = Dfa(XY, [[min(q + 1 + sym % 2, n - 1) for sym in range(4)] for q in range(n)],

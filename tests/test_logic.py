@@ -69,6 +69,24 @@ def test_vartable_bits_round_trip(value):
     assert vt.parse_bits(text, 8) == value
 
 
+def test_vartable_bits_round_trip_every_value_of_small_widths():
+    vt = VarTable(("a",), ())
+    for width in range(7):
+        for value in range(1 << width):
+            text = vt.format_bits(value, width)
+            # variable 0 is the leftmost character
+            expected = "".join("1" if value >> i & 1 else "0" for i in range(width)) or "-"
+            assert text == expected
+            assert vt.parse_bits(text, width) == value
+
+
+@pytest.mark.parametrize("text", ["0_1", "+1", " 1", "1 ", "-1", "٠١", "0b1"])
+def test_vartable_parse_bits_rejects_what_int_accepts(text):
+    vt = VarTable(("a",), ())
+    with pytest.raises(ParseError, match=f"expected {len(text)} bits"):
+        vt.parse_bits(text, len(text))
+
+
 def test_vartable_zero_width_block():
     vt = VarTable(("a",), ())
     assert vt.format_bits(0, 0) == "-"
