@@ -11,6 +11,15 @@ route only ever builds products of minimal automata.  Both the subset
 constructions and the products number their states through `dfa.explore`,
 so they stop at its one state guard, `dfa.STATE_LIMIT`.
 
+A conjunct is compiled over the variables it reads: a VarTable of its atoms
+that keeps the environment and agent blocks and their declared order (a
+conjunct without atoms gets the one-symbol table).  Its minimal automaton
+is then lifted to the problem's table: one map from each full symbol to its
+restriction, applied to every row.  Restriction keeps the bit order, so the
+lifted automaton is still minimal and already in `dfa.minimize`'s canonical
+numbering, and the products see exactly the automata a full-alphabet
+compile would give them.
+
 Formula nodes are hash-consed (see `logic.Formula`), so the memo tables
 keyed by obligations hash each node in constant time and compare by
 identity, and repeated conjuncts drop out of the chain for free.
@@ -25,7 +34,11 @@ of a trace.
 Every obligation is a node of the formula's normal form.  Loops over those
 nodes, children first, fill each table: their truth tables at the last
 position of a trace, their truth with no positions left, and per symbol
-their next-position choices.  Nothing here recurses on the formula.
+their next-position choices.  A propositional node (no temporal operator
+at or below it) is a leaf of the per-symbol step, as in formula
+progression: its choice is the empty obligation set where its truth table
+holds and none elsewhere, so the nodes below it are never visited per
+symbol.  Nothing here recurses on the formula.
 """
 
 from __future__ import annotations
@@ -37,19 +50,19 @@ from .errors import VocabularyMismatch
 from .logic import (
     Always,
     And,
-    Atom,
     Eventually,
     Formula,
     FalseConst,
     Next,
-    Not,
     Or,
     Release,
     TrueConst,
     Until,
     VarTable,
     WeakNext,
+    _TEMPORAL,
     atom_names,
+    children,
     is_nnf,
     last_position_tables,
     to_nnf,
@@ -90,9 +103,6 @@ class ObligationNfa:
     empty_ok: bool = field(init=False)
 
     def __post_init__(self):
-        undeclared = atom_names(self.formula) - set(self.vt.all_vars)
-        if undeclared:
-            raise VocabularyMismatch(f"undeclared atoms: {sorted(undeclared)}")
         self.nnf = to_nnf(self.formula)
         assert is_nnf(self.nnf)
         self.initial = _obligation(self.nnf)
@@ -110,6 +120,16 @@ class ObligationNfa:
             else:
                 ok[g] = isinstance(g, (TrueConst, WeakNext, Release, Always))
         self.empty_ok = ok[self.nnf]
+        # nodes with a temporal operator at or below them; any other node is
+        # propositional and its moves are read off its truth table, so only
+        # the root and the children of temporal nodes are walked per symbol
+        self._temporal: set[Formula] = set()
+        walked = {self.nnf}
+        for g in self._end:
+            if isinstance(g, _TEMPORAL) or not self._temporal.isdisjoint(children(g)):
+                self._temporal.add(g)
+                walked.update(children(g))
+        self._walk = [g for g in self._end if g in walked]
         self._moves: dict[int, dict[Formula, tuple[frozenset[Formula], ...]]] = {}
 
     def _moves_at(self, sym: int) -> dict[Formula, tuple[frozenset[Formula], ...]]:
@@ -117,8 +137,8 @@ class ObligationNfa:
         if sym in self._moves:
             return self._moves[sym]
         moves: dict[Formula, tuple[frozenset[Formula], ...]] = {}
-        for g in self._end:
-            if isinstance(g, (TrueConst, FalseConst, Atom, Not)):
+        for g in self._walk:
+            if g not in self._temporal:
                 out: tuple[frozenset[Formula], ...] = (
                     (frozenset(),) if self._end[g] >> sym & 1 else ()
                 )
@@ -190,18 +210,42 @@ def conjuncts(f: Formula) -> list[Formula]:
     return list(out)
 
 
-def compile_formula(vt: VarTable, f: Formula) -> Dfa:
-    """Minimal DFA accepting exactly the non-empty finite traces of f.
+def _lift(m: Dfa, vt: VarTable) -> Dfa:
+    """m read over vt, whose variables include m's: each symbol of vt acts as
+    its restriction to m's variables.
 
-    Conjuncts are compiled separately and joined by products; the subset
-    constructions and the products all stop at the one state guard,
-    `dfa.STATE_LIMIT`.  Vocabularies too wide for an explicit alphabet are
-    refused before any symbol is enumerated.
+    The blocks keep their order, so the restrictions of vt's symbols first
+    occur in increasing order, and a minimal m stays minimal and in
+    `minimize`'s canonical numbering.
+    """
+    sub = m.vt.all_vars
+    restrict = [0]  # restrict[s]: the symbol of m.vt that s of vt restricts to
+    for name in vt.all_vars:
+        restrict += restrict if name not in sub else [r | 1 << sub.index(name) for r in restrict]
+    return Dfa(vt, [[row[r] for r in restrict] for row in m.transitions], m.initial, m.finals)
+
+
+def compile_formula(vt: VarTable, f: Formula) -> Dfa:
+    """Minimal DFA over vt accepting exactly the non-empty finite traces of f.
+
+    Each conjunct is compiled over the variables it reads and lifted to vt;
+    the conjuncts are then joined by products.  The subset constructions and
+    the products all stop at the one state guard, `dfa.STATE_LIMIT`.
+    Vocabularies too wide for an explicit alphabet are refused before any
+    symbol is enumerated.
     """
     check_explicit(vt)
-    first, *rest = conjuncts(f)
-    m = minimize(determinize(ObligationNfa(vt, first)))
-    for g in rest:
-        part = minimize(determinize(ObligationNfa(vt, g)))
-        m = minimize(combine(m, part, "and"))
+    parts = conjuncts(f)
+    reads = [atom_names(g) for g in parts]
+    undeclared = frozenset().union(*reads) - set(vt.all_vars)
+    if undeclared:
+        raise VocabularyMismatch(f"undeclared atoms: {sorted(undeclared)}")
+    m = None
+    for g, names in zip(parts, reads):
+        own = VarTable(
+            tuple(v for v in vt.env_vars if v in names),
+            tuple(v for v in vt.agent_vars if v in names),
+        )
+        part = _lift(minimize(determinize(ObligationNfa(own, g))), vt)
+        m = part if m is None else minimize(combine(m, part, "and"))
     return m

@@ -6,6 +6,10 @@ explicit construction stops at STATE_LIMIT states (see `check_states`).
 Words are finite symbol sequences, and the empty word is uniformly not
 accepted by `accepts`.  Language comparisons are therefore made over
 non-empty words.
+
+Every Dfa that leaves `compiler.compile_formula` is over the problem's
+VarTable; the narrower tables it compiles single conjuncts over stay inside
+the compiler.
 """
 
 from __future__ import annotations

@@ -88,6 +88,24 @@ def _vartable(headers: dict, source: str) -> VarTable:
         _fail(source, lineno, str(exc))
 
 
+def _blocks(source: str, env: tuple[int, str], agent: tuple[int, str]) -> VarTable:
+    """VarTable of the ``env:`` and ``agent:`` lines, each (lineno, value).
+
+    A bad name is reported at the line that holds it, and a duplicate at
+    its second occurrence: the environment block is checked on its own
+    first.
+    """
+    env_vars, agent_vars = tuple(env[1].split()), tuple(agent[1].split())
+    try:
+        VarTable(env_vars, ())
+    except ValueError as exc:
+        _fail(source, env[0], str(exc))
+    try:
+        return VarTable(env_vars, agent_vars)
+    except ValueError as exc:
+        _fail(source, agent[0], str(exc))
+
+
 def _vars_text(vt: VarTable) -> str:
     return " ".join(vt.env_vars + ("|",) + vt.agent_vars)
 
@@ -280,12 +298,7 @@ def parse_domain(text: str, source: str = "<domain>") -> Domain:
     headers, records = _scan(text, source)
     if records:
         _fail(source, records[0][0], "domain files contain only 'key: value' lines")
-    env_line, env_value = _take(headers, source, "env")
-    _, agent_value = _take(headers, source, "agent")
-    try:
-        vt = VarTable(tuple(env_value.split()), tuple(agent_value.split()))
-    except ValueError as exc:
-        _fail(source, env_line, str(exc))
+    vt = _blocks(source, _take(headers, source, "env"), _take(headers, source, "agent"))
 
     def formula(key: str, allow_primed: bool):
         lineno, value = _take(headers, source, key)
@@ -346,10 +359,7 @@ def parse_problem(text: str, source: str = "<problem>", base_dir: str = "") -> P
     else:
         if env_value is None or agent_value is None:
             _fail(source, None, "problems without a domain declare 'env:' and 'agent:'")
-        try:
-            vt = VarTable(tuple(env_value[1].split()), tuple(agent_value[1].split()))
-        except ValueError as exc:
-            _fail(source, env_value[0], str(exc))
+        vt = _blocks(source, env_value, agent_value)
 
     def side(key: str):
         lineno, value = _take(headers, source, key)

@@ -381,21 +381,33 @@ def test_malformed_problem_names_file_and_line(tmp_path, capsys):
 @pytest.mark.parametrize("agent, fragment", [("X", "reserved: 'X'"), ("p", "duplicate")])
 def test_bad_variable_names_are_line_numbered_bad_input(tmp_path, capsys, agent, fragment):
     # in a problem's own blocks, in a domain's and in an automaton's; the
-    # error names the line of the environment block
+    # error names the line of the agent block, which holds the bad name
     sides = "assumption: true\ngoal: true\n"
     problem = write(tmp_path, "p.txt", f"semantics: finite\nenv: p\nagent: {agent}\n" + sides)
     code, _, err = run(capsys, "synthesize", problem)
-    assert code == 3 and err.startswith("error: ") and "p.txt:2: " in err and fragment in err
+    assert code == 3 and err.startswith("error: ") and "p.txt:3: " in err and fragment in err
 
     write(tmp_path, "d.txt", DOMAIN_TEXT.replace("agent: m", f"agent: {agent}"))
     code, _, err = run(capsys, "plan", write(tmp_path, "p.txt", PLAN_TEXT))
-    assert code == 3 and "d.txt:1: " in err and fragment in err
+    assert code == 3 and "d.txt:2: " in err and fragment in err
 
     aut = format_automaton(Dfa(VarTable(("p",), ("m",)), [[0] * 4], 0, {0}))
     write(tmp_path, "a.aut", aut.replace("vars: p | m", f"vars: p | {agent}"))
     text = "semantics: finite\nenv: p\nagent: m\nassumption: @a.aut\ngoal: true\n"
     code, _, err = run(capsys, "synthesize", write(tmp_path, "p.txt", text))
     assert code == 3 and "a.aut:1: " in err and fragment in err
+
+
+@pytest.mark.parametrize("env, fragment", [("X", "reserved: 'X'"), ("p p", "duplicate")])
+def test_bad_environment_names_name_the_environment_line(tmp_path, capsys, env, fragment):
+    sides = "assumption: true\ngoal: true\n"
+    problem = write(tmp_path, "p.txt", f"semantics: finite\nenv: {env}\nagent: m\n" + sides)
+    code, _, err = run(capsys, "synthesize", problem)
+    assert code == 3 and "p.txt:2: " in err and fragment in err
+
+    write(tmp_path, "d.txt", DOMAIN_TEXT.replace("env: p", f"env: {env}"))
+    code, _, err = run(capsys, "plan", write(tmp_path, "p.txt", PLAN_TEXT))
+    assert code == 3 and "d.txt:1: " in err and fragment in err
 
 
 def test_empty_domain_path_is_bad_input(tmp_path, capsys):

@@ -11,19 +11,28 @@ from plansynth.compiler import (
     conjuncts,
     determinize,
 )
-from plansynth.dfa import accepts, combine, dfa_true, language_equal, minimize
+from plansynth.dfa import Dfa, accepts, combine, dfa_true, language_equal, minimize
+from plansynth.domain import executability_formula
 from plansynth.errors import LimitExceeded, VocabularyMismatch
 from plansynth.logic import (
     TRUE,
+    Always,
     And,
     Atom,
+    Eventually,
     Implies,
+    Next,
     Or,
+    VarTable,
     conjoin,
     parse_formula,
+    postorder,
+    truth_table_mask,
 )
 
-from helpers import XY, all_traces, corpus_formulas, eval_finite, random_formula
+from helpers import XY, all_traces, corpus_formulas, eval_finite, random_domain, random_formula
+
+VT3 = VarTable(("e0", "e1", "e2"), ("a0", "a1", "a2"))
 
 
 def assert_matches_semantics(f, traces):
@@ -124,6 +133,68 @@ def test_conjunction_products_pass_the_state_guard(monkeypatch):
 def test_undeclared_atom_rejected():
     with pytest.raises(VocabularyMismatch):
         compile_formula(XY, Atom("z"))
+    with pytest.raises(VocabularyMismatch, match=r"undeclared atoms: \['z'\]"):
+        compile_formula(XY, And(parse_formula("F x", XY), Eventually(Atom("z"))))
+
+
+def full_alphabet(vt, f):
+    """f compiled in one subset construction over every symbol of vt."""
+    return minimize(determinize(ObligationNfa(vt, f)))
+
+
+def test_conjuncts_compiled_over_what_they_read_equal_the_full_alphabet_compile():
+    rng = random.Random(35)
+    for _ in range(100):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            reads = VarTable(tuple(rng.sample(VT3.all_vars, rng.randint(0, 3))), ())
+            parts.append(random_formula(rng, reads, 3))
+        f = conjoin(parts)
+        assert compile_formula(VT3, f) == full_alphabet(VT3, f), f
+
+
+@pytest.mark.parametrize("text", ["X true", "WX false", "G true & F true"])
+def test_atom_free_conjuncts_compile_over_the_one_symbol_alphabet(text):
+    f = parse_formula(text)
+    assert compile_formula(VT3, f) == full_alphabet(VT3, f)
+
+
+@pytest.mark.parametrize("text", ["(e0 & X a0) | (e2 & X a2)", "(a2 & X e0) | (e1 & X !e0)"])
+def test_a_lifted_conjunct_keeps_the_canonical_numbering(text):
+    # from the initial state the two disjuncts lead to different states, so
+    # the numbering follows the order in which the restricted symbols occur
+    f = parse_formula(text, VT3)
+    assert compile_formula(VT3, f) == full_alphabet(VT3, f)
+
+
+def test_planning_goal_equals_the_full_alphabet_compile():
+    d = random_domain(random.Random(7), 6, 2)[0]
+    f = executability_formula(d)
+    assert compile_formula(d.vt, f) == full_alphabet(d.vt, f)
+
+
+def test_propositional_nodes_are_read_off_their_truth_tables():
+    d = random_domain(random.Random(8), 3, 2)[0]
+    p, vt = d.pre, d.vt
+    assert len(postorder(p)) > 50
+    nfa = ObligationNfa(vt, Always(p))
+    for sym in range(vt.n_symbols):
+        assert set(nfa._moves_at(sym)) == {nfa.nnf, nfa.nnf.operand}
+    # G p: every symbol that satisfies p keeps the accepting initial state
+    # (G holds on the empty word), any other falls into the rejecting sink
+    mask = truth_table_mask(p, vt.all_vars)
+    row = [0 if mask >> s & 1 else 1 for s in range(vt.n_symbols)]
+    expected = minimize(Dfa(vt, [row, [1] * vt.n_symbols], 0, {0}))
+    assert compile_formula(vt, Always(p)) == expected == full_alphabet(vt, Always(p))
+
+    # a node below both a propositional and a temporal parent is walked
+    shared = p.left
+    nfa = ObligationNfa(vt, And(Always(p), Next(shared)))
+    assert shared in nfa._moves_at(0)
+    traces = list(all_traces(vt, 2))
+    m = compile_formula(vt, And(Always(p), Next(shared)))
+    for t in traces:
+        assert accepts(m, t) == eval_finite(vt, And(Always(p), Next(shared)), t)
 
 
 def test_empty_suffix_convention():
