@@ -8,7 +8,9 @@ environment-behavior automaton), the goal, and the implication "assumption
 side implies goal".  `solve` checks that the assumption side is environment
 realizable (otherwise it excludes nothing and the question is ill-posed) and
 then solves the implication's game for the agent; the verdict keeps the
-automata it was decided on.
+automata it was decided on.  On infinite traces that game is played on the
+pair product of the assumption side and the goal, and the implication's
+own automaton is built only when it is asked for.
 
 The verifier answers the definitional question directly instead: does a given
 agent strategy reach an accepted stop against every environment that plays
@@ -35,7 +37,7 @@ from .domain import (
 from .errors import InvalidAssumptionError, UnsupportedFairSolve, UnsupportedFeature
 from .games import AgentStrategy, agent_realizable, env_realizable, env_safe
 from .logic import TRUE, And, Eventually, Formula, VarTable, is_propositional
-from .parity import Dpw, dpw_agent_realizable, dpw_combine, dpw_env_realizable
+from .parity import Dpw, dpw_agent_realizable, dpw_combine, dpw_env_realizable, normalize_colors
 
 
 class Status(Enum):
@@ -137,8 +139,10 @@ class Compiled:
     ``assumption`` is the assumption side (conjoined with the domain's
     environment behaviour, for planning), ``goal`` the goal, ``valid``
     whether the environment can realize the assumption side, and ``game``
-    the implication product the agent must win.  Fair planning problems are
-    refused when the record is made, before anything is built.
+    the implication the agent must win, as one automaton: on finite traces
+    the game is solved on it, on infinite traces it is only exported (the
+    solve runs on the pair of assumption and goal).  Fair planning problems
+    are refused when the record is made, before anything is built.
     """
 
     def __init__(self, p: Problem):
@@ -193,13 +197,17 @@ def solve(p: Problem) -> Verdict:
     }
     if not c.valid:
         return Verdict(Status.INVALID_ASSUMPTION, None, diagnostics, c)
-    diagnostics["game_states"] = c.game.n_states
     if c.finite:
+        diagnostics["game_states"] = c.game.n_states
         realizable, ranks, strategy = agent_realizable(c.game)
         diagnostics["game_iterations"] = max(ranks.values(), default=0)
     else:
-        diagnostics["game_colors"] = len(set(c.game.colors))
-        realizable, strategy = dpw_agent_realizable(c.game)
+        # the assumption x goal pairs the game ranges over, and its two colorings
+        diagnostics["game_states"] = c.assumption.n_states * c.goal.n_states
+        diagnostics["game_colors"] = sum(
+            len(set(normalize_colors(m).colors)) for m in (c.assumption, c.goal)
+        )
+        realizable, strategy = dpw_agent_realizable(c.goal, c.assumption)
     status = Status.REALIZABLE if realizable else Status.UNREALIZABLE
     return Verdict(status, strategy, diagnostics, c)
 

@@ -3,16 +3,21 @@
 Acceptance is max-parity: a run is accepting when the highest state color
 visited infinitely often is even.  Boolean combinations of two parity
 automata go through a latest-appearance record over the joint color alphabet,
-which turns the product's Muller condition back into a parity condition.
+which turns the product's Muller condition back into a parity condition;
+it serves the planning conjunction of domain behaviour and assumption, and
+the exported game automaton.
 
 The induced games use the same round protocol as the finite case — the
 environment reveals an environment state, the agent answers with an action —
 but the play never stops, and winning means the infinite joint trace is
 accepted.  Either participant can be cast as the accepting player, so
 realizability for the two sides comes from two independently built arenas
-rather than from complementing one solution.  Each side's positional
-strategy is read off Zielonka's moves on its arena: the agent's through the
-same `games.arena_answer` as in the finite game.
+rather than from complementing one solution.  "Assumption implies goal" is
+solved without the record: on the plain pair product of the two automata,
+whose game carries both colorings, and one Zielonka recursion decides the
+disjunction "the assumption fails or the goal holds".  Each side's
+positional strategy is read off Zielonka's moves on its arena: the agent's
+through the same `games.arena_answer` as in the finite game.
 """
 
 from __future__ import annotations
@@ -139,11 +144,39 @@ def dpw_combine(m1: Dpw, m2: Dpw, connective: str) -> Dpw:
     return normalize_colors(Dpw(m1.vt, rows, 0, colors))
 
 
+def pair_product(assumption: Dpw, goal: Dpw) -> tuple[Dpw, list[int]]:
+    """The reachable product of two parity automata, keeping both colorings.
+
+    Both sides' colors are normalized first.  Returns the product, which
+    carries the goal's colors, and the assumption's color of each product
+    state: the two priority lists of the game on "assumption implies goal".
+    """
+    _check_same_vt(assumption, goal)
+    a, g = normalize_colors(assumption), normalize_colors(goal)
+    ta, tg = a.transitions, g.transitions
+    states, rows = explore((a.initial, g.initial), lambda q: zip(ta[q[0]], tg[q[1]]))
+    product = Dpw(g.vt, rows, 0, tuple(g.colors[qg] for _, qg in states))
+    return product, [a.colors[qa] for qa, _ in states]
+
+
 # --- parity game solving ---------------------------------------------------
 
 
-def _zielonka(alive, succ, pred, owner, priority):
+def _zielonka(alive, succ, pred, owner, priority, assumption):
     """Zielonka's algorithm on the subgame alive, as a generator.
+
+    Player 0 wins a play when the top recurring assumption priority is odd
+    or the top recurring (goal) priority is even; with every assumption
+    priority 0, or with ``assumption`` None, this is plain max-parity on
+    the priorities.  At a level where one of the two top priorities favours
+    player 0, its attractor to the nodes carrying such a top is removed, as
+    in Zielonka's algorithm.
+    Otherwise player 1 needs both tops infinitely often (Chatterjee,
+    Henzinger & Piterman, "Generalized Parity Games", 2007): the level tries
+    removing player 1's attractor to the assumption top, then to the goal
+    top, and a child where player 0 wins something hands that region on as
+    usual.  An assumption top that covers the whole subgame is no
+    constraint, and its child is skipped.
 
     It yields each subgame it needs solved, receives that subgame's
     solution, and returns its own, so a driver loop can run the recursion
@@ -155,14 +188,27 @@ def _zielonka(alive, succ, pred, owner, priority):
     """
     if not alive:
         return [set(), set()], [{}, {}]
-    p = max(priority[v] for v in alive)
-    i = p % 2
-    top = {v for v in alive if priority[v] == p}
-    region_a, moves_a = attract(alive, succ, pred, owner, i, top)
-    alive.difference_update(region_a)
-    regions, moves = yield alive
-    alive.update(region_a)
-    if not regions[1 - i]:
+    pg = max(priority[v] for v in alive)
+    top_g = {v for v in alive if priority[v] == pg}
+    if assumption is None:
+        pa, top_a = 0, alive  # as if every assumption priority were 0
+    else:
+        pa = max(assumption[v] for v in alive)
+        top_a = {v for v in alive if assumption[v] == pa}
+    if pa % 2 or pg % 2 == 0:
+        # one child: player 0's attractor to the tops of its parity
+        i, tops = 0, [(top_a if pa % 2 else set()) | (top_g if pg % 2 == 0 else set())]
+    else:
+        # player 1 needs both tops infinitely often: a child for each
+        i, tops = 1, [top_a, top_g] if len(top_a) < len(alive) else [top_g]
+    for top in tops:
+        region_a, moves_a = attract(alive, succ, pred, owner, i, top)
+        alive.difference_update(region_a)
+        regions, moves = yield alive
+        alive.update(region_a)
+        if regions[1 - i]:
+            break
+    else:
         # the opponent's moves lie in its region, so they are empty too
         regions[i] = set(alive)
         moves[i].update(moves_a)
@@ -180,18 +226,23 @@ def _zielonka(alive, succ, pred, owner, priority):
     return sub_regions, sub_moves
 
 
-def solve_game(succ, owner, priority):
+def solve_game(succ, owner, priority, assumption=None):
     """Zielonka's algorithm with positional strategies for both players.
 
     Player 0 wins per max-parity: the highest priority visited infinitely
-    often along the play must be even.  Returns (win0, win1, moves0, moves1),
-    where moves are per-node choices covering each player's own nodes inside
-    their winning region.  Assumes a total game graph (no dead ends), which
+    often along the play must be even.  Given a second priority list
+    ``assumption``, player 0 also wins every play whose highest recurring
+    assumption priority is odd (see `_zielonka`).  Returns (win0, win1,
+    moves0, moves1), where moves are per-node choices covering each
+    player's own nodes inside their winning region.  Player 0's moves win;
+    so do player 1's without an assumption list, while against the
+    disjunction player 1 may need memory, and its moves only stay inside
+    its region.  Assumes a total game graph (no dead ends), which
     attractor removal preserves.  The recursion, up to one level per node,
     runs on an explicit stack of suspended subgames.
     """
     pred = predecessors(succ)
-    stack = [_zielonka(set(range(len(succ))), succ, pred, owner, priority)]
+    stack = [_zielonka(set(range(len(succ))), succ, pred, owner, priority, assumption)]
     solved = None
     while stack:
         try:
@@ -200,7 +251,7 @@ def solve_game(succ, owner, priority):
             stack.pop()
             solved = done.value
         else:
-            stack.append(_zielonka(sub, succ, pred, owner, priority))
+            stack.append(_zielonka(sub, succ, pred, owner, priority, assumption))
             solved = None
     (win0, win1), (moves0, moves1) = solved
     return win0, win1, moves0, moves1
@@ -234,24 +285,38 @@ class ParityRegions:
     answer: Callable[[int, int], tuple[int, int] | None]
 
 
-def solve_parity_game(m: Dpw) -> ParityRegions:
-    """Solve the round game on the automaton with the agent as parity player."""
+def solve_parity_game(m: Dpw, assumption=None) -> ParityRegions:
+    """Solve the round game on the automaton with the agent as parity player.
+
+    Given ``assumption``, a second color for each state of m, the agent
+    also wins every play whose top recurring assumption color is odd.
+    """
     m = normalize_colors(m)
     n = m.n_states
     succ, owner, priority, choices = _arena(m, env_seeks_even=False)
-    win0, win1, moves0, _ = solve_game(succ, owner, priority)
+    if assumption is not None:
+        assumption = list(assumption) + [0] * (len(succ) - n)
+    win0, win1, moves0, _ = solve_game(succ, owner, priority, assumption)
     agent_states = frozenset(q for q in range(n) if q in win0)
     env_states = frozenset(q for q in range(n) if q in win1)
     return ParityRegions(agent_states, env_states, arena_answer(m, choices, moves0))
 
 
-def dpw_agent_realizable(m: Dpw) -> tuple[bool, AgentStrategy | None]:
+def dpw_agent_realizable(m: Dpw, assumption: Dpw | None = None) -> tuple[bool, AgentStrategy | None]:
     """Can the agent force the infinite trace into the accepted language?
 
-    The returned strategy is positional over automaton states: memory is the
-    current state, and the table never stops the play.
+    Given an assumption automaton, the question is whether the agent can
+    force the trace out of the assumption's language or into m's, and it is
+    solved on their `pair_product`.  The returned strategy is positional
+    over automaton states (product states, given an assumption): memory is
+    the current state, and the table never stops the play.  Against the
+    disjunction of two parity conditions, a Rabin condition, positional
+    strategies suffice (Emerson & Jutla 1988).
     """
-    regions = solve_parity_game(m)
+    colors = None
+    if assumption is not None:
+        m, colors = pair_product(assumption, m)
+    regions = solve_parity_game(m, colors)
     if m.initial not in regions.agent_states:
         return False, None
     table = strategy_table(m.initial, m.vt.n_env_states, regions.answer)

@@ -534,6 +534,60 @@ def parity_regions_oracle(m: Dpw) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(agent_win), frozenset(range(n)) - frozenset(agent_win)
 
 
+def parity_cycle_against(s: AgentStrategy, assumption: Dpw, goal: Dpw):
+    """Tops (assumption color, goal color) of a play the agent strategy lets
+    through with the assumption accepted and the goal rejected, or None.
+
+    Every play of s against some environment is a path from the start in
+    the graph of (memory, assumption state, goal state) nodes, and its
+    recurring part is a cycle.  For each even assumption color ta and odd
+    goal color tg, the graph is cut to the nodes of no larger colors, and a
+    node of assumption color ta that lies on one cycle with a node of goal
+    color tg (possibly itself) gives such a play.  A missing row fails as an
+    AssertionError: a strategy on infinite traces never stops.
+    """
+    vt = s.vt
+    start = (s.initial, assumption.initial, goal.initial)
+    succ: dict = {}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        if node in succ:
+            continue
+        mem, qa, qg = node
+        succ[node] = []
+        for e in range(vt.n_env_states):
+            assert (mem, e) in s.table, f"no move for memory {mem} on {e}"
+            action, mem2 = s.table[(mem, e)]
+            sym = vt.joint(e, action)
+            nxt = (mem2, assumption.transitions[qa][sym], goal.transitions[qg][sym])
+            succ[node].append(nxt)
+            todo.append(nxt)
+
+    def reach(u, keep):
+        """Nodes of keep reached from u by a nonempty path inside keep."""
+        seen: set = set()
+        todo = list(succ[u])
+        while todo:
+            w = todo.pop()
+            if w in keep and w not in seen:
+                seen.add(w)
+                todo += succ[w]
+        return seen
+
+    a_colors = sorted({assumption.colors[qa] for _, qa, _ in succ})
+    g_colors = sorted({goal.colors[qg] for _, _, qg in succ})
+    for ta in (c for c in a_colors if c % 2 == 0):
+        for tg in (c for c in g_colors if c % 2 == 1):
+            keep = {n for n in succ if assumption.colors[n[1]] <= ta and goal.colors[n[2]] <= tg}
+            for u in keep:
+                if assumption.colors[u[1]] != ta:
+                    continue
+                if any(goal.colors[w[2]] == tg and u in reach(w, keep) for w in reach(u, keep)):
+                    return ta, tg
+    return None
+
+
 # --- strong plans: AND-OR search ----------------------------------------------
 
 

@@ -20,7 +20,7 @@ from plansynth.dfa import (
 )
 from plansynth.errors import LimitExceeded, VocabularyMismatch
 from plansynth.logic import VarTable, parse_formula
-from plansynth.parity import dpw_combine
+from plansynth.parity import dpw_combine, pair_product
 
 from helpers import XY, all_traces, oracle_minimize, random_dfa, random_dpw
 
@@ -291,8 +291,9 @@ def test_variable_limit():
         lambda: combine(random_dfa(random.Random(7), XY), random_dfa(random.Random(8), XY), "and"),
         lambda: dpw_combine(random_dpw(random.Random(7), XY), random_dpw(random.Random(8), XY),
                             "or"),
+        lambda: pair_product(random_dpw(random.Random(7), XY), random_dpw(random.Random(8), XY))[0],
     ],
-    ids=["determinize", "combine", "dpw_combine"],
+    ids=["determinize", "combine", "dpw_combine", "pair_product"],
 )
 def test_every_construction_stops_at_the_one_state_guard(build, monkeypatch):
     m = build()

@@ -396,6 +396,21 @@ def test_infinite_synthesis_unrealizable_and_invalid():
     assert synthesize(q).status == Status.INVALID_ASSUMPTION
 
 
+def test_infinite_solve_runs_on_the_pair_product():
+    # the goal asks for x infinitely often (color 2 after x, 1 after !x);
+    # the implication's own automaton is left for export
+    x_often = Dpw(XY, ((0, 0, 1, 1), (0, 0, 1, 1)), 0, (1, 2))
+    verdict = synthesize(Problem("synthesis", "infinite", XY, dpw_const(True), x_often))
+    assert verdict.status == Status.REALIZABLE
+    assert verdict.diagnostics["game_states"] == 2
+    assert verdict.diagnostics["game_colors"] == 3
+    assert verdict.strategy.n_memory == 2
+    assert all(action == 1 for action, _ in verdict.strategy.table.values())
+    c = verdict.automata
+    assert "game" not in vars(c)
+    assert c.game.n_states >= 2
+
+
 def test_infinite_rejects_finite_trace_inputs():
     with pytest.raises(UnsupportedFeature):
         synthesize(Problem("synthesis", "infinite", XY, parse_formula("true"), dpw_const(True)))

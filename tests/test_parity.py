@@ -18,11 +18,12 @@ from plansynth.parity import (
     dpw_complement,
     dpw_env_realizable,
     normalize_colors,
+    pair_product,
     solve_game,
     solve_parity_game,
 )
 
-from helpers import XY, parity_regions_oracle, random_dpw, random_lasso
+from helpers import XY, parity_cycle_against, parity_regions_oracle, random_dpw, random_lasso
 
 
 # --- acceptance of ultimately periodic words ---------------------------------
@@ -182,6 +183,70 @@ def test_solve_game_deeper_than_the_interpreter_stack():
     assert sys.getrecursionlimit() == limit
     assert win0 == set(range(n)) and not win1
     assert moves0 == {v: v for v in range(0, n, 2)} and not moves1
+
+
+def test_solve_game_with_two_priority_lists_deeper_than_the_interpreter_stack():
+    # a chain v -> v - 1 with self-loops, where node v carries the odd
+    # assumption priority 2v + 1 and the even goal priority 2v: every level
+    # peels off its top node alone, 3000 levels in all
+    n = 3000
+    limit = sys.getrecursionlimit()
+    succ = [[v, v - 1] if v else [v] for v in range(n)]
+    owner = [v % 2 for v in range(n)]
+    win0, win1, moves0, _ = solve_game(succ, owner, [2 * v for v in range(n)],
+                                       [2 * v + 1 for v in range(n)])
+    assert sys.getrecursionlimit() == limit
+    assert win0 == set(range(n)) and not win1
+    assert set(moves0) == set(range(0, n, 2))
+
+
+def test_player_1_wins_only_by_alternating_between_the_two_tops():
+    # From state 0 the environment's y picks state 1 (y = 0) or state 2
+    # (y = 1), and both lead back to 0.  State 1 carries the assumption's top
+    # color 2 (even), state 2 the goal's top color 3 (odd).  Staying on
+    # either cycle hands the agent the win (goal top 0 even, or assumption
+    # top 1 odd), so the environment must alternate, which takes memory:
+    # the solver has to try both of player 1's children.
+    hub = (1, 2, 1, 2)
+    back = (0, 0, 0, 0)
+    a = Dpw(XY, (hub, back, back), 0, (0, 2, 1))
+    g = Dpw(XY, (hub, back, back), 0, (0, 0, 3))
+    assert dpw_agent_realizable(g, a) == (False, None)
+    assert not dpw_agent_realizable(dpw_combine(a, g, "implies"))[0]
+    for stay in ((1, 1, 1, 1), (2, 2, 2, 2)):
+        a1 = Dpw(XY, (stay, back, back), 0, a.colors)
+        g1 = Dpw(XY, (stay, back, back), 0, g.colors)
+        ok, strat = dpw_agent_realizable(g1, a1)
+        assert ok and parity_cycle_against(strat, a1, g1) is None
+    # the same on a bare graph: hub 0 of player 1 between the two cycles
+    succ, owner = [[1, 2], [0], [0]], [1, 0, 0]
+    goal, assumption = [0, 0, 3], [0, 2, 1]
+    win0, win1, _, _ = solve_game(succ, owner, goal, assumption)
+    assert win1 == {0, 1, 2} and not win0
+    for stay in ([1], [2]):
+        win0, win1, _, _ = solve_game([stay, [0], [0]], owner, goal, assumption)
+        assert win0 == {0, 1, 2} and not win1
+
+
+def test_pair_product_matches_the_record_product():
+    # "assumption implies goal" solved on the plain pair product gives the
+    # verdict of the latest-appearance-record automaton of the implication,
+    # and every strategy it returns lets no play keep the assumption and
+    # break the goal
+    rng = random.Random(62)
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        a = random_dpw(rng, XY, 4, 4)
+        g = random_dpw(rng, XY, 4, 4)
+        ok, strat = dpw_agent_realizable(g, a)
+        assert ok == dpw_agent_realizable(dpw_combine(a, g, "implies"))[0]
+        if ok:
+            assert strat.n_memory == pair_product(a, g)[0].n_states
+            assert parity_cycle_against(strat, a, g) is None
+        else:
+            assert strat is None
+        outcomes[ok] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_solve_game_moves_stay_inside_their_regions_and_win():
