@@ -141,12 +141,18 @@ def _check_same_vt(m1: Dfa, m2) -> None:
         raise VocabularyMismatch("automata built over different variable tables")
 
 
+def product(m1, m2) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """The reachable pair product of two word or parity automata over one
+    VarTable: `explore`'s (pairs, rows) from the pair of initial states."""
+    _check_same_vt(m1, m2)
+    t1, t2 = m1.transitions, m2.transitions
+    return explore((m1.initial, m2.initial), lambda q: zip(t1[q[0]], t2[q[1]]))
+
+
 def combine(m1: Dfa, m2: Dfa, connective: str) -> Dfa:
     """Reachable product with finals induced by the boolean connective."""
-    _check_same_vt(m1, m2)
     op = CONNECTIVES[connective]
-    t1, t2 = m1.transitions, m2.transitions
-    states, rows = explore((m1.initial, m2.initial), lambda q: zip(t1[q[0]], t2[q[1]]))
+    states, rows = product(m1, m2)
     finals = frozenset(
         i for i, (q1, q2) in enumerate(states) if op(q1 in m1.finals, q2 in m2.finals)
     )
@@ -235,14 +241,7 @@ def minimize(m: Dfa) -> Dfa:
 
 def language_equal(m1: Dfa, m2: Dfa) -> bool:
     """Exact equality of the accepted languages of non-empty words."""
-    _check_same_vt(m1, m2)
-    t1, t2 = m1.transitions, m2.transitions
-
-    def row_of(pair):
-        q1, q2 = (m1.initial, m2.initial) if pair is None else pair
-        return zip(t1[q1], t2[q2])
-
-    # None stands for the empty word, so every later pair is reached by a
-    # non-empty word and must agree
-    pairs, _ = explore(None, row_of)
-    return all((q1 in m1.finals) == (q2 in m2.finals) for q1, q2 in pairs[1:])
+    pairs, rows = product(m1, m2)
+    # the targets of the rows are the pairs that non-empty words reach
+    reached = {i for row in rows for i in row}
+    return all((pairs[i][0] in m1.finals) == (pairs[i][1] in m2.finals) for i in reached)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .dfa import Dfa, explore
 from .logic import VarTable
 
-# owners of the round arena's nodes in the finite games
+# owners of the round arena's nodes, in every game on it
 _AGENT, _ENV = 0, 1
 
 
@@ -73,11 +73,12 @@ class EnvStrategy:
         return self.table[(memory, action)]
 
 
-def round_arena(m) -> tuple[list[list[int]], list[int]]:
-    """The bipartite round arena of an automaton: (successor lists, choices).
+def round_arena(m) -> tuple[list[list[int]], list[int], list[int]]:
+    """The bipartite round arena of an automaton: (successor lists, owners, choices).
 
-    Node q < n is automaton state q, where the environment picks an
-    environment state e; ``choices[q * n_env + e]`` is the node of the
+    Node q < n is automaton state q, owned by the environment (player 1),
+    which picks an environment state e there; the agent (player 0) owns the
+    choice nodes.  ``choices[q * n_env + e]`` is the node of the
     agent's choice that follows, whose successors are the distinct states
     its answers lead to.  Environment states whose answers at one state lead
     to the same states share a choice node, since such choices are won and
@@ -99,7 +100,7 @@ def round_arena(m) -> tuple[list[list[int]], list[int]]:
                 succ[q].append(node)
                 succ.append(list(targets))
             choices.append(node)
-    return succ, choices
+    return succ, [_ENV] * n + [_AGENT] * (len(succ) - n), choices
 
 
 def predecessors(succ: list[list[int]]) -> list[list[int]]:
@@ -146,13 +147,6 @@ def attract(alive, succ, pred, owner, player, base) -> tuple[dict[int, int], dic
     return layers, moves
 
 
-def _agent_attractor(m: Dfa, succ: list[list[int]], base) -> tuple[dict, dict]:
-    """The agent's attractor to base on the round arena succ of m: (layers, moves)."""
-    n = m.n_states
-    owner = [_ENV] * n + [_AGENT] * (len(succ) - n)
-    return attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, base)
-
-
 def arena_answer(m, choices: list[int], moves: dict[int, int]) -> Callable:
     """The agent's answer reader on the round arena of m.
 
@@ -185,8 +179,8 @@ def agent_ranks(m: Dfa) -> tuple[dict[int, int], int, Callable]:
     a play cannot cycle.
     """
     n = m.n_states
-    succ, choices = round_arena(m)
-    layers, moves = _agent_attractor(m, succ, m.finals)
+    succ, owner, choices = round_arena(m)
+    layers, moves = attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, m.finals)
     # a round passes a choice node and a state node: states sit on even layers
     ranks = {q: k // 2 for q, k in layers.items() if q < n}
     return ranks, len(set(ranks.values())), arena_answer(m, choices, moves)
@@ -250,9 +244,9 @@ def env_safe(m: Dfa) -> tuple[frozenset[int], int, Callable]:
     """
     n, n_env = m.n_states, m.vt.n_env_states
     finals = m.finals
-    succ, choices = round_arena(m)
+    succ, owner, choices = round_arena(m)
     leaks = [v for v in range(n, len(succ)) if not finals.issuperset(succ[v])]
-    layers, _ = _agent_attractor(m, succ, leaks)
+    layers, _ = attract(range(len(succ)), succ, predecessors(succ), owner, _AGENT, leaks)
     safe = frozenset(q for q in range(n) if q not in layers)
 
     def safe_moves(q: int):

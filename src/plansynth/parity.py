@@ -10,14 +10,15 @@ the exported game automaton.
 The induced games use the same round protocol as the finite case — the
 environment reveals an environment state, the agent answers with an action —
 but the play never stops, and winning means the infinite joint trace is
-accepted.  Either participant can be cast as the accepting player, so
-realizability for the two sides comes from two independently built arenas
-rather than from complementing one solution.  "Assumption implies goal" is
-solved without the record: on the plain pair product of the two automata,
-whose game carries both colorings, and one Zielonka recursion decides the
-disjunction "the assumption fails or the goal holds".  Each side's
-positional strategy is read off Zielonka's moves on its arena: the agent's
-through the same `games.arena_answer` as in the finite game.
+accepted.  Every game is played on `games.round_arena`, with the agent as
+player 0, who wins when the top recurring color is even: the environment
+forces an automaton's language by winning, as player 1, the game on its
+complement.  "Assumption implies goal" is solved without the record: on
+the plain pair product of the two automata (`dfa.product`), whose game
+carries both colorings, and one Zielonka recursion decides the disjunction
+"the assumption fails or the goal holds".  Each side's positional strategy
+is read off Zielonka's moves: the agent's through the same
+`games.arena_answer` as in the finite game.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dfa import CONNECTIVES, _check_same_vt, check_explicit, explore
+from .dfa import CONNECTIVES, _check_same_vt, check_explicit, explore, product
 from .errors import VocabularyMismatch
 from .games import (
     AgentStrategy,
@@ -85,21 +86,26 @@ def accepts_lasso(m: Dpw, prefix, loop) -> bool:
     return max(m.colors[s] for s in visited[start:]) % 2 == 0
 
 
+def _compact(values) -> list[int]:
+    """The smallest values with the same order and parities: each run of
+    consecutive same-parity values, in sorted order, becomes one value."""
+    used = sorted(set(values))
+    mapping: dict[int, int] = {}
+    current = used[0] % 2 if used else 0
+    for c in used:
+        if c % 2 != current % 2:
+            current += 1
+        mapping[c] = current
+    return [mapping[c] for c in values]
+
+
 def normalize_colors(m: Dpw) -> Dpw:
     """Smallest equivalent coloring: collapse consecutive same-parity colors.
 
     Returns m itself when its coloring is already the smallest.
     """
-    used = sorted(set(m.colors))
-    mapping: dict[int, int] = {}
-    current = used[0] % 2
-    for c in used:
-        if c % 2 != current % 2:
-            current += 1
-        mapping[c] = current
-    if all(mapping[c] == c for c in used):
-        return m
-    return Dpw(m.vt, m.transitions, m.initial, tuple(mapping[c] for c in m.colors))
+    colors = tuple(_compact(m.colors))
+    return m if colors == m.colors else Dpw(m.vt, m.transitions, m.initial, colors)
 
 
 def dpw_complement(m: Dpw) -> Dpw:
@@ -147,16 +153,14 @@ def dpw_combine(m1: Dpw, m2: Dpw, connective: str) -> Dpw:
 def pair_product(assumption: Dpw, goal: Dpw) -> tuple[Dpw, list[int]]:
     """The reachable product of two parity automata, keeping both colorings.
 
-    Both sides' colors are normalized first.  Returns the product, which
-    carries the goal's colors, and the assumption's color of each product
-    state: the two priority lists of the game on "assumption implies goal".
+    Returns the `dfa.product` as a parity automaton, which carries the
+    goal's colors, and the assumption's color of each product state: the
+    two priority lists of the game on "assumption implies goal".  The
+    colors are passed on as given; `solve_game` compacts them.
     """
-    _check_same_vt(assumption, goal)
-    a, g = normalize_colors(assumption), normalize_colors(goal)
-    ta, tg = a.transitions, g.transitions
-    states, rows = explore((a.initial, g.initial), lambda q: zip(ta[q[0]], tg[q[1]]))
-    product = Dpw(g.vt, rows, 0, tuple(g.colors[qg] for _, qg in states))
-    return product, [a.colors[qa] for qa, _ in states]
+    pairs, rows = product(assumption, goal)
+    m = Dpw(goal.vt, rows, 0, tuple(goal.colors[qg] for _, qg in pairs))
+    return m, [assumption.colors[qa] for qa, _ in pairs]
 
 
 # --- parity game solving ---------------------------------------------------
@@ -232,7 +236,9 @@ def solve_game(succ, owner, priority, assumption=None):
     Player 0 wins per max-parity: the highest priority visited infinitely
     often along the play must be even.  Given a second priority list
     ``assumption``, player 0 also wins every play whose highest recurring
-    assumption priority is odd (see `_zielonka`).  Returns (win0, win1,
+    assumption priority is odd (see `_zielonka`).  Each list is compacted
+    first (runs of same-parity priorities merged), which changes no winner
+    and saves the recursion a level per merged value.  Returns (win0, win1,
     moves0, moves1), where moves are per-node choices covering each
     player's own nodes inside their winning region.  Player 0's moves win;
     so do player 1's without an assumption list, while against the
@@ -242,6 +248,8 @@ def solve_game(succ, owner, priority, assumption=None):
     runs on an explicit stack of suspended subgames.
     """
     pred = predecessors(succ)
+    priority = _compact(priority)
+    assumption = None if assumption is None else _compact(assumption)
     stack = [_zielonka(set(range(len(succ))), succ, pred, owner, priority, assumption)]
     solved = None
     while stack:
@@ -257,18 +265,14 @@ def solve_game(succ, owner, priority, assumption=None):
     return win0, win1, moves0, moves1
 
 
-def _arena(m: Dpw, env_seeks_even: bool):
-    """The round arena of m (`games.round_arena`) as a parity game.
+def _arena(m: Dpw):
+    """The round arena of m (`games.round_arena`) with m's colors as priorities.
 
-    The environment moves at state nodes, the agent at choice nodes; choice
-    nodes carry priority 0, which never changes a cycle's maximum.
+    Choice nodes carry priority 0, which never changes a cycle's maximum.
+    Returns (successors, owners, priorities, choices).
     """
-    n = m.n_states
-    succ, choices = round_arena(m)
-    env, agent = (0, 1) if env_seeks_even else (1, 0)
-    owner = [env] * n + [agent] * (len(succ) - n)
-    priority = list(m.colors) + [0] * (len(succ) - n)
-    return succ, owner, priority, choices
+    succ, owner, choices = round_arena(m)
+    return succ, owner, list(m.colors) + [0] * (len(succ) - m.n_states), choices
 
 
 @dataclass
@@ -291,9 +295,8 @@ def solve_parity_game(m: Dpw, assumption=None) -> ParityRegions:
     Given ``assumption``, a second color for each state of m, the agent
     also wins every play whose top recurring assumption color is odd.
     """
-    m = normalize_colors(m)
     n = m.n_states
-    succ, owner, priority, choices = _arena(m, env_seeks_even=False)
+    succ, owner, priority, choices = _arena(m)
     if assumption is not None:
         assumption = list(assumption) + [0] * (len(succ) - n)
     win0, win1, moves0, _ = solve_game(succ, owner, priority, assumption)
@@ -326,18 +329,18 @@ def dpw_agent_realizable(m: Dpw, assumption: Dpw | None = None) -> tuple[bool, A
 def dpw_env_realizable(m: Dpw) -> tuple[bool, EnvStrategy | None]:
     """Can the environment force the infinite trace into the accepted language?
 
-    Solved on its own arena with the environment as the parity player, so the
-    answer does not lean on complementation.
+    Solved on the arena of `dpw_complement(m)`, where the agent, player 0,
+    seeks the complement's acceptance, and read off as player 1: its winning
+    region, and its moves, which win positionally against one priority list.
     """
-    m = normalize_colors(m)
-    succ, owner, priority, choices = _arena(m, env_seeks_even=True)
-    win0, _, moves0, _ = solve_game(succ, owner, priority)
-    if m.initial not in win0:
+    succ, owner, priority, choices = _arena(dpw_complement(m))
+    _, win1, _, moves1 = solve_game(succ, owner, priority)
+    if m.initial not in win1:
         return False, None
     n_env = m.vt.n_env_states
 
     def chosen(q: int) -> int:
         # the smallest environment state whose choice node is the winning move
-        return choices.index(moves0[q], q * n_env, (q + 1) * n_env) - q * n_env
+        return choices.index(moves1[q], q * n_env, (q + 1) * n_env) - q * n_env
 
     return True, env_strategy(m, chosen)

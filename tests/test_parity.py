@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,11 @@ from plansynth.parity import (
 )
 
 from helpers import XY, parity_cycle_against, parity_regions_oracle, random_dpw, random_lasso
+
+
+def spread(m):
+    """m recolored 3c + 2: the same acceptance, from colors above 1 that skip values."""
+    return Dpw(m.vt, m.transitions, m.initial, tuple(3 * c + 2 for c in m.colors))
 
 
 # --- acceptance of ultimately periodic words ---------------------------------
@@ -172,32 +178,50 @@ def test_solve_game_tiny():
 
 
 def test_solve_game_deeper_than_the_interpreter_stack():
-    # every node has only a self-loop and an even priority of its own, so
-    # Zielonka peels one node per level: 3000 levels, past the default
-    # recursion limit
+    # a chain v -> v - 1 with self-loops, all player 0's, where node v has
+    # priority v: the priorities alternate in parity, so compacting keeps
+    # them apart, and Zielonka peels one node per level: 3000 levels, past
+    # the default recursion limit; player 0 wins by walking down to node 0
     n = 3000
     limit = sys.getrecursionlimit()
-    owner = [v % 2 for v in range(n)]
-    win0, win1, moves0, moves1 = solve_game([[v] for v in range(n)], owner,
-                                            [2 * v for v in range(n)])
+    succ = [[v, v - 1] if v else [v] for v in range(n)]
+    win0, win1, moves0, moves1 = solve_game(succ, [0] * n, list(range(n)))
     assert sys.getrecursionlimit() == limit
     assert win0 == set(range(n)) and not win1
-    assert moves0 == {v: v for v in range(0, n, 2)} and not moves1
+    assert moves0 == {v: max(v - 1, 0) for v in range(n)} and not moves1
 
 
 def test_solve_game_with_two_priority_lists_deeper_than_the_interpreter_stack():
-    # a chain v -> v - 1 with self-loops, where node v carries the odd
-    # assumption priority 2v + 1 and the even goal priority 2v: every level
-    # peels off its top node alone, 3000 levels in all
+    # a chain v -> v - 1 with self-loops, where node v carries priority v
+    # in both lists: an odd top favours player 0 through the assumption, an
+    # even one through the goal, so every level peels off its top node
+    # alone, 3000 levels in all
     n = 3000
     limit = sys.getrecursionlimit()
     succ = [[v, v - 1] if v else [v] for v in range(n)]
     owner = [v % 2 for v in range(n)]
-    win0, win1, moves0, _ = solve_game(succ, owner, [2 * v for v in range(n)],
-                                       [2 * v + 1 for v in range(n)])
+    win0, win1, moves0, _ = solve_game(succ, owner, list(range(n)), list(range(n)))
     assert sys.getrecursionlimit() == limit
     assert win0 == set(range(n)) and not win1
     assert set(moves0) == set(range(0, n, 2))
+
+
+def test_solve_game_merges_same_parity_runs_of_priorities():
+    # self-loops with the odd goal priorities 2v + 1 and the even assumption
+    # priorities 2v: each list is one run of one parity, which compacting
+    # turns into one priority, and player 1 wins everywhere in one level.
+    # Taken as given, every level of player 1 solves two children that are
+    # each the whole rest of the game, doubling the time per node.
+    n = 3000
+    limit = sys.getrecursionlimit()
+    start = time.perf_counter()
+    win0, win1, moves0, moves1 = solve_game([[v] for v in range(n)], [v % 2 for v in range(n)],
+                                            [2 * v + 1 for v in range(n)],
+                                            [2 * v for v in range(n)])
+    assert time.perf_counter() - start < 1.0
+    assert sys.getrecursionlimit() == limit
+    assert win1 == set(range(n)) and not win0
+    assert moves1 == {v: v for v in range(1, n, 2)} and not moves0
 
 
 def test_player_1_wins_only_by_alternating_between_the_two_tops():
@@ -238,13 +262,15 @@ def test_pair_product_matches_the_record_product():
     for _ in range(500):
         a = random_dpw(rng, XY, 4, 4)
         g = random_dpw(rng, XY, 4, 4)
-        ok, strat = dpw_agent_realizable(g, a)
-        assert ok == dpw_agent_realizable(dpw_combine(a, g, "implies"))[0]
-        if ok:
-            assert strat.n_memory == pair_product(a, g)[0].n_states
-            assert parity_cycle_against(strat, a, g) is None
-        else:
-            assert strat is None
+        ok = dpw_agent_realizable(dpw_combine(a, g, "implies"))[0]
+        for aa, gg in ((a, g), (spread(a), spread(g))):
+            realized, strat = dpw_agent_realizable(gg, aa)
+            assert realized == ok
+            if ok:
+                assert strat.n_memory == pair_product(a, g)[0].n_states
+                assert parity_cycle_against(strat, a, g) is None
+            else:
+                assert strat is None
         outcomes[ok] += 1
     assert min(outcomes.values()) > 100
 
@@ -286,13 +312,14 @@ def test_solver_matches_exhaustive_oracle():
     rng = random.Random(56)
     for _ in range(40):
         m = random_dpw(rng, XY, 5)
-        regions = solve_parity_game(m)
         agent_win, env_win = parity_regions_oracle(m)
-        assert regions.agent_states == agent_win
-        assert regions.env_states == env_win
-        # determinacy: the two regions partition the states
-        assert regions.agent_states | regions.env_states == frozenset(range(m.n_states))
-        assert not (regions.agent_states & regions.env_states)
+        for coloring in (m, spread(m)):
+            regions = solve_parity_game(coloring)
+            assert regions.agent_states == agent_win
+            assert regions.env_states == env_win
+            # determinacy: the two regions partition the states
+            assert regions.agent_states | regions.env_states == frozenset(range(m.n_states))
+            assert not (regions.agent_states & regions.env_states)
 
 
 def drive_agent_strategy(m, strat, env_map):
@@ -352,19 +379,20 @@ def test_env_strategy_beats_every_positional_agent():
     realized = 0
     for _ in range(25):
         m = random_dpw(rng, XY, 4)
-        ok, strat = dpw_env_realizable(m)
-        if not ok:
-            assert strat is None
-            continue
-        realized += 1
-        # the agent observes the automaton state and the revealed env state
-        states = sorted({q for (q, _a) in strat.table})
-        domain = [(q, e) for q in states for e in range(XY.n_env_states)]
-        for choices in itertools.product(range(XY.n_actions), repeat=len(domain)):
-            agent_map = dict(zip(domain, choices))
-            prefix, loop = drive_env_strategy(m, strat, agent_map)
-            assert accepts_lasso(m, prefix, loop)
-    assert realized > 3
+        for coloring in (m, spread(m)):
+            ok, strat = dpw_env_realizable(coloring)
+            if not ok:
+                assert strat is None
+                continue
+            realized += 1
+            # the agent observes the automaton state and the revealed env state
+            states = sorted({q for (q, _a) in strat.table})
+            domain = [(q, e) for q in states for e in range(XY.n_env_states)]
+            for choices in itertools.product(range(XY.n_actions), repeat=len(domain)):
+                agent_map = dict(zip(domain, choices))
+                prefix, loop = drive_env_strategy(m, strat, agent_map)
+                assert accepts_lasso(m, prefix, loop)
+    assert realized > 6
 
 
 def test_realizability_duality():
